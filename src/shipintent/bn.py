@@ -211,14 +211,6 @@ class Factor:
         return f"Factor(scope={self.scope}, cards={self.cards}, kind={self.kind})"
 
 
-def factor_product(a: Factor, b: Factor) -> Factor:
-    return a.product(b)
-
-
-def factor_marginalize(f: Factor, var_id: str) -> Factor:
-    return f.marginalize(var_id)
-
-
 def multiply_all(factors: Sequence[Factor]) -> Factor:
     if not factors:
         return Factor.scalar(1.0)

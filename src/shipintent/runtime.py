@@ -37,13 +37,28 @@ lookahead along its trajectory) act as the slice observation, and the score
 is the probability that the slice's ``compatible`` node is true.  Scoring
 never mutates the session.
 
-The joint intention space grows by a factor of 15 per obstacle ship, so exact
-sessions are practical for a handful of obstacles (the usual one or two are
-cheap).
+Cost and memory
+---------------
+Each obstacle ship adds a priority and a situation-view root, so the joint
+over the collision-avoidance roots grows by a factor of 15 per ship: 6e5
+cells at one obstacle, 9e6 at two and 1.35e8 at three with the default ten
+bins per threshold.  Only booleans are kept dense over it (the frozen
+constraint and the live slice's constraint, one byte a cell: 0.6 MB, 9 MB
+and 135 MB); the prior and the candidates' virtual evidence stay one vector
+per root.  Every marginal, node expectation and candidate score contracts a
+boolean joint against those vectors, which is variable elimination over a
+product-form prior (Koller & Friedman 2009, ch. 9-10): the joint is read as
+a matrix, ship views and compliance switches by thresholds, converted to
+float64 a row chunk at a time, and multiplied by the vectors of each block.
+One pass gives the evidence mass and every root marginal, and the float
+scratch stays bounded whatever the ship count.  Nodes are looked up in their
+truth tables on the axes they actually depend on; only ``colav_ok`` spans
+the whole joint.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -180,13 +195,76 @@ class ScoreResult:
 # Root-axis layout and per-slice messages
 # --------------------------------------------------------------------------
 
+# Joint cells per row chunk that a contraction converts to float64: this
+# bounds its float scratch at 512 KiB whatever the ship count.
+_CHUNK_CELLS = 1 << 16
+
+
+class _Product:
+    """A product-form weight over the layout joint, kept as one vector per axis.
+
+    A dense boolean array over the joint is contracted against it as a
+    matrix whose rows are the cells of the first ``split`` axes and whose
+    columns are the cells of the rest.  Rows are converted to float64 a chunk
+    of :data:`_CHUNK_CELLS` cells at a time, so no dense float joint is ever
+    built.
+    """
+
+    def __init__(self, vecs: Sequence[np.ndarray], split: int) -> None:
+        self.vecs = tuple(np.asarray(v, dtype=float) for v in vecs)
+        self.shape = tuple(len(v) for v in self.vecs)
+        self.split = split
+        self.rows = functools.reduce(np.multiply.outer, self.vecs[:split], np.ones(())).ravel()
+        self.cols = functools.reduce(np.multiply.outer, self.vecs[split:], np.ones(())).ravel()
+
+    def _sweep(self, arr: np.ndarray, with_cols: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """``arr @ cols`` per row and, optionally, ``rows @ arr`` per column."""
+        mat = np.broadcast_to(arr, self.shape).reshape(len(self.rows), len(self.cols))
+        step = max(1, _CHUNK_CELLS // mat.shape[1])
+        left = np.empty(mat.shape[0])
+        right = np.zeros(mat.shape[1]) if with_cols else None
+        for s in range(0, mat.shape[0], step):
+            chunk = mat[s : s + step].astype(np.float64)
+            left[s : s + step] = chunk @ self.cols
+            if right is not None:
+                right += self.rows[s : s + step] @ chunk
+        return left, right
+
+    def expect(self, arr: np.ndarray) -> float:
+        """Weighted sum of a boolean array laid out on the joint's axes.
+
+        Axes of length one are those the array does not touch; they are
+        summed out of the weight instead of being broadcast.
+        """
+        if arr.size > _CHUNK_CELLS:
+            left, _ = self._sweep(arr, with_cols=False)
+            return float(self.rows @ left)
+        out = np.asarray(arr, dtype=np.float64)
+        for vec in reversed(self.vecs):
+            out = out @ vec if out.shape[-1] > 1 else out[..., 0] * vec.sum()
+        return float(out)
+
+    def masses(self, joint: np.ndarray) -> tuple[float, list[np.ndarray]]:
+        """Total weight of a boolean joint and its marginal weight on every axis."""
+        left, right = self._sweep(joint, with_cols=True)
+        z = float(self.rows @ left)
+        out: list[np.ndarray] = []
+        for block in (
+            (self.rows * left).reshape(self.shape[: self.split]),
+            (self.cols * right).reshape(self.shape[self.split :]),
+        ):
+            for j in range(block.ndim):
+                out.append(block.sum(axis=tuple(k for k in range(block.ndim) if k != j)))
+        return z, out
+
 
 class _Layout:
     """Axis bookkeeping for the joint over the collision-avoidance roots.
 
     The four grounding/escape roots never mix with the rest (see the module
-    docstring), so the dense joint spans only the thresholds, compliance
-    switches and per-ship priority/situation views.
+    docstring), so the joint spans only the thresholds, compliance switches
+    and per-ship priority/situation views.  The compliance switches and ship
+    views form the row block of every contraction, the thresholds the columns.
     """
 
     def __init__(
@@ -202,30 +280,30 @@ class _Layout:
             name: np.asarray(intention_prior_vector(name, priors, disc, situations), dtype=float)
             for name in nodes.intention_ids(n_ships)
         }
-        self.f_roots = tuple(r for r in nodes.intention_ids(n_ships) if r not in _GROUND_ROOTS)
+        roots = [r for r in nodes.intention_ids(n_ships) if r not in _GROUND_ROOTS]
+        # Thresholds go last, ample_time first among them: every large node
+        # spans safe_cpa, safe_front_cross and safe_midpoint, and keeping those
+        # innermost gives numpy long contiguous runs when it broadcasts.
+        self.f_roots = tuple(
+            sorted(roots, key=lambda r: (r in nodes.INTENTION_REAL, r != "ample_time"))
+        )
         self.cards = tuple(len(self.prior_vec[r]) for r in self.f_roots)
-        self.shape = self.cards
-        self.axis = {r: j for j, r in enumerate(self.f_roots)}
         rank = len(self.f_roots)
         self.axis_arrays = {
-            r: np.arange(self.cards[j]).reshape((1,) * j + (-1,) + (1,) * (rank - 1 - j))
-            for r, j in self.axis.items()
+            r: np.arange(card, dtype=np.uint8).reshape((1,) * j + (-1,) + (1,) * (rank - 1 - j))
+            for j, (r, card) in enumerate(zip(self.f_roots, self.cards))
         }
-        weight = np.array(1.0)
-        for r in self.f_roots:
-            weight = weight[..., None] * self.prior_vec[r]
-        self.weight = weight  # prior mass over the joint, sums to 1
+        split = sum(r not in nodes.INTENTION_REAL for r in self.f_roots)
+        self.prior = _Product([self.prior_vec[r] for r in self.f_roots], split)
 
         self.specs = nodes.model_node_specs(n_ships)
         spec_ids = {s.node_id for s in self.specs}
-        # uint8, not bool: gathered node values feed back in as integer
-        # indices, and numpy would treat boolean arrays as masks instead.
         self.tables: dict[str, np.ndarray] = {}
         for spec in self.specs:
             cards = tuple(self._parent_card(p, spec_ids) for p in spec.parents)
-            table = np.empty(cards, dtype=np.uint8)
+            table = np.empty(cards, dtype=bool)
             for combo in itertools.product(*(range(c) for c in cards)):
-                table[combo] = 1 if spec.predicate(*combo) else 0
+                table[combo] = spec.predicate(*combo)
             self.tables[spec.node_id] = table
 
     def _parent_card(self, parent: str, spec_ids: set[str]) -> int:
@@ -235,83 +313,98 @@ class _Layout:
             return 2
         return _measurement_variable(parent, self.disc).cardinality
 
-    def marginal_axes(self, root: str) -> tuple[int, ...]:
-        keep = self.axis[root]
-        return tuple(j for j in range(len(self.f_roots)) if j != keep)
+
+def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
+    """``table[args]`` for parents that are scalars or broadcast index arrays.
+
+    Scalar parents index the table first.  The array parents, smallest
+    first, fold into one small-integer code, so the only operation at the
+    broadcast result's size is a single lookup in the flat table.
+    """
+    sub = table[tuple(slice(None) if np.ndim(a) else int(a) for a in args)]
+    arrays = [a for a in args if np.ndim(a)]
+    if not arrays:
+        return int(sub)
+    order = sorted(range(len(arrays)), key=lambda k: arrays[k].size)
+    sub = sub.transpose(order)
+    code_type = np.min_scalar_type(sub.size - 1).type
+    code = arrays[order[0]].astype(code_type)
+    for k, card in zip(order[1:], sub.shape[1:]):
+        code = code * code_type(card) + arrays[k]
+    flat = sub.ravel()
+    if flat.size > 64:
+        return flat[code]
+    # Up to 64 entries pack into one machine word: a shift and a mask look the
+    # codes up without numpy first widening them to intp indices.
+    word_type = np.min_scalar_type((1 << flat.size) - 1).type
+    word = word_type(sum(1 << int(k) for k in np.flatnonzero(flat)))
+    bits = word >> code
+    bits &= word_type(1)
+    return bits.astype(bool)
 
 
 @dataclass
 class _SliceMessage:
     """One slice's evidence, folded down to functions of the intention roots."""
 
-    f_side: np.ndarray  # bool over the layout joint: all ships' caps hold
+    f_side: np.ndarray  # bool on the layout axes: all ships' caps hold
     v_side: np.ndarray  # bool per safe_ground_side bin
     v_front: np.ndarray  # bool per safe_ground_front bin
     nav_maneuver: bool
     turned_sb: int
     turned_port: int
-    node_arrays: dict[str, np.ndarray]  # exported per-ship indicator arrays
 
 
-_SKIP_NODES = {"ground_safe_side", "ground_safe_front", "ground_safe", "compatible"}
+_SKIP_NODES = {"ground_safe", "compatible"}
 _EXPORT_BASES = ("colav_ok", "nav_maneuver_ok", "evasive_ok")
 
 
 def _slice_message(
     layout: _Layout, meas_states: Mapping[str, int], sa_in: int, pa_in: int
-) -> _SliceMessage:
+) -> tuple[_SliceMessage, dict[str, np.ndarray]]:
     """Fold one slice's observations into boolean root-space indicators.
 
-    Walks the model registry in dependency order, evaluating each node's
-    truth table on numpy index arrays: observed measurements and latch
-    carries enter as integers, intention roots as broadcast axis arrays, and
-    previously folded nodes as boolean arrays.
+    Walks the model registry in dependency order, looking each node up in
+    its truth table: observed measurements and latch carries enter as
+    integers, intention roots as axis arrays, and previously folded nodes as
+    boolean arrays that span only the axes they depend on.  The grounding
+    thresholds are not layout axes; they fold as vectors of their own.
+
+    Returns the message a slice keeps and the exported per-ship node
+    indicators, which only the step's posterior bundle reads.
     """
     values: dict[str, object] = dict(meas_states)
     values.update(layout.axis_arrays)
     values["turned_starboard_prev"] = sa_in
     values["turned_port_prev"] = pa_in
-
-    bins = len(layout.prior_vec["safe_ground_side"])
-    v_side = v_front = None
+    for root in ("safe_ground_side", "safe_ground_front"):
+        values[root] = np.arange(len(layout.prior_vec[root]), dtype=np.uint8)
     for spec in layout.specs:
-        table = layout.tables[spec.node_id]
-        if spec.node_id == "ground_safe_side":
-            v_side = table[
-                values["meas_ground_sb"],
-                values["meas_ground_ps"],
-                np.arange(bins),
-                values["meas_course_change"],
-            ]
-            continue
-        if spec.node_id == "ground_safe_front":
-            v_front = table[
-                values["meas_ground_front"], np.arange(bins), values["meas_course_change"]
-            ]
-            continue
         if spec.node_id in _SKIP_NODES or spec.node_id.startswith("ship_compatible_"):
             continue
-        idx = tuple(values[p] for p in spec.parents)
-        values[spec.node_id] = table[idx]
+        values[spec.node_id] = _lookup(
+            layout.tables[spec.node_id], [values[p] for p in spec.parents]
+        )
 
-    f_side = np.array(True)
-    node_arrays: dict[str, np.ndarray] = {}
-    for i in range(1, layout.n_ships + 1):
-        colav = np.asarray(values[ship("colav_ok", i)], dtype=bool)
-        nav_ok = np.asarray(values[ship("nav_maneuver_ok", i)], dtype=bool)
-        f_side = f_side & (colav | nav_ok)
-        node_arrays[ship("colav_ok", i)] = colav
-        node_arrays[ship("nav_maneuver_ok", i)] = nav_ok
-        node_arrays[ship("evasive_ok", i)] = np.asarray(values[ship("evasive_ok", i)], dtype=bool)
-    return _SliceMessage(
-        f_side=np.broadcast_to(np.asarray(f_side, dtype=bool), layout.shape),
-        v_side=np.asarray(v_side, dtype=bool),
-        v_front=np.asarray(v_front, dtype=bool),
+    node_arrays = {
+        ship(base, i): np.asarray(values[ship(base, i)], dtype=bool)
+        for i in range(1, layout.n_ships + 1)
+        for base in _EXPORT_BASES
+    }
+    caps = [
+        node_arrays[ship("colav_ok", i)] | node_arrays[ship("nav_maneuver_ok", i)]
+        for i in range(1, layout.n_ships + 1)
+    ]
+    f_side = functools.reduce(np.logical_and, caps)
+    message = _SliceMessage(
+        f_side=f_side,
+        v_side=np.asarray(values["ground_safe_side"], dtype=bool),
+        v_front=np.asarray(values["ground_safe_front"], dtype=bool),
         nav_maneuver=bool(values["nav_maneuver"]),
         turned_sb=int(values["turned_starboard"]),
         turned_port=int(values["turned_port"]),
-        node_arrays=node_arrays,
     )
+    return message, node_arrays
 
 
 def _branch_masses(
@@ -326,17 +419,28 @@ def _branch_masses(
     return a_u, a_g, a_s
 
 
+def _distribution(masses: np.ndarray) -> tuple[float, ...]:
+    """Normalise non-negative masses by their own sum, so every entry is in [0, 1]."""
+    masses = np.asarray(masses, dtype=float)
+    return tuple((masses / masses.sum()).tolist())
+
+
+def _unit(p: float) -> float:
+    """A probability formed from separately rounded sums, clipped back into [0, 1]."""
+    return min(1.0, max(0.0, p))
+
+
 def _posterior_bundle(
     layout: _Layout,
     frozen_f: np.ndarray,
     frozen_vs: np.ndarray,
     frozen_vf: np.ndarray,
     live: _SliceMessage,
+    node_arrays: Mapping[str, np.ndarray],
 ) -> tuple[IntentionPosterior, dict[str, float]]:
     """Exact posteriors and live-node probabilities from the slice messages."""
     joint = frozen_f & live.f_side
-    wm = layout.weight * joint
-    z_f = float(wm.sum())
+    z_f, f_masses = layout.prior.masses(joint)
 
     pi_s = layout.prior_vec["safe_ground_side"]
     pi_f = layout.prior_vec["safe_ground_front"]
@@ -356,30 +460,27 @@ def _posterior_bundle(
     rest = 1.0 - p_u
     marg: dict[str, tuple[float, ...]] = {}
     f_weight = rest * (p_g + (1.0 - p_g) * z_s * z_fr)
-    for root in layout.f_roots:
-        m_root = wm.sum(axis=layout.marginal_axes(root))
-        vec = (a_u * layout.prior_vec[root] + f_weight * m_root) / total
-        marg[root] = tuple(vec.tolist())
-    vec_s = ((a_u + a_g) * pi_s + rest * z_f * (1.0 - p_g) * z_fr * u_s) / total
-    vec_f = ((a_u + a_g) * pi_f + rest * z_f * (1.0 - p_g) * z_s * u_f) / total
-    marg["safe_ground_side"] = tuple(vec_s.tolist())
-    marg["safe_ground_front"] = tuple(vec_f.tolist())
+    for root, m_root in zip(layout.f_roots, f_masses):
+        marg[root] = _distribution(a_u * layout.prior_vec[root] + f_weight * m_root)
+    no_ground_intent = rest * z_f * (1.0 - p_g)
+    marg["safe_ground_side"] = _distribution((a_u + a_g) * pi_s + no_ground_intent * z_fr * u_s)
+    marg["safe_ground_front"] = _distribution((a_u + a_g) * pi_f + no_ground_intent * z_s * u_f)
     g_true = p_g * (p_u + rest * z_f)
     g_false = (1.0 - p_g) * (p_u + rest * z_f * z_s * z_fr)
-    marg["ground_intent"] = (g_false / total, g_true / total)
-    marg["unmodeled"] = ((a_g + a_s) / total, a_u / total)
+    marg["ground_intent"] = _distribution([g_false, g_true])
+    marg["unmodeled"] = _distribution([a_g + a_s, a_u])
     ordered = {name: marg[name] for name in nodes.intention_ids(layout.n_ships)}
 
     node_probs: dict[str, float] = {}
     post_weight = a_g + a_s
-    for name, arr in live.node_arrays.items():
-        e_prior = float((layout.weight * arr).sum())
-        e_post = float((wm * arr).sum()) / z_f if z_f > 0.0 else 0.0
-        node_probs[name] = (a_u * e_prior + post_weight * e_post) / total
+    for name, arr in node_arrays.items():
+        e_prior = layout.prior.expect(arr)
+        e_post = layout.prior.expect(joint & arr) / z_f if z_f > 0.0 else 0.0
+        node_probs[name] = _unit((a_u * e_prior + post_weight * e_post) / total)
     s_live = float((pi_s * live.v_side).sum())
     f_live = float((pi_f * live.v_front).sum())
-    node_probs["ground_safe_side"] = ((a_u + a_g) * s_live + a_s) / total
-    node_probs["ground_safe_front"] = ((a_u + a_g) * f_live + a_s) / total
+    node_probs["ground_safe_side"] = _unit(((a_u + a_g) * s_live + a_s) / total)
+    node_probs["ground_safe_front"] = _unit(((a_u + a_g) * f_live + a_s) / total)
     node_probs["nav_maneuver"] = float(live.nav_maneuver)
     node_probs["turned_starboard"] = float(live.turned_sb)
     node_probs["turned_port"] = float(live.turned_port)
@@ -420,9 +521,7 @@ class Session:
     ) -> None:
         if not obstacles:
             raise ValueError("a session needs at least one obstacle ship")
-        for obs in obstacles:
-            if obs.t != own.t:
-                raise ValueError("obstacle states must carry the reference timestamp")
+        _check_states(own, obstacles)
         if lookahead < 0.0:
             raise ValueError("lookahead must be non-negative")
         self.priors = priors
@@ -436,23 +535,15 @@ class Session:
         self.anchors = tuple(classify_colregs(own, obs, geom) for obs in obstacles)
         self.layout = _Layout(self.n_ships, priors, disc, self.anchors)
 
-        self._own: list[ShipState] = [own]
-        self._obstacles: list[list[ShipState]] = [[obs] for obs in obstacles]
-        self._slices: list[_SliceState] = [
-            _SliceState(
-                created_t=own.t,
-                base_courses=self._courses(own, obstacles),
-                base_sogs=self._sogs(own, obstacles),
-                sa_in=nodes.FALSE,
-                pa_in=nodes.FALSE,
-            )
-        ]
-        self._frozen_f = np.ones(self.layout.shape, dtype=bool)
+        self._own: list[ShipState] = []
+        self._obstacles: list[list[ShipState]] = [[] for _ in obstacles]
+        self._slices: list[_SliceState] = []
+        self._frozen_f = np.ones(self.layout.cards, dtype=bool)
         self._frozen_vs = np.ones(disc.ground_side.bins, dtype=bool)
         self._frozen_vf = np.ones(disc.ground_front.bins, dtype=bool)
         self._step_index = -1
         self.records: list[StepRecord] = []
-        self._refresh(added_slice=False)
+        self._advance(own, obstacles, added_slice=False)
 
     @staticmethod
     def _courses(own: ShipState, obstacles: Sequence[ShipState]) -> tuple[float, ...]:
@@ -528,17 +619,19 @@ class Session:
             real_to_bin(fr, self.disc.ground_front),
         )
 
-    def _measure_now(self) -> MeasurementVector:
-        own = self._own[-1]
-        cic, cis, ccc = course_speed_changes(self._own, self.geom)
+    def _measure(
+        self, own_track: Sequence[ShipState], obstacles: Sequence[ShipState]
+    ) -> MeasurementVector:
+        own = own_track[-1]
+        cic, cis, ccc = course_speed_changes(own_track, self.geom)
         sb_bin, ps_bin, fr_bin = self._ground_bins(own)
         if self.waypoint is None:
             wprb = wprd = Trend.NEITHER
             ahead = False
         else:
-            wprb, wprd, ahead = waypoint_measurements(self._own, self.waypoint, self.geom)
+            wprb, wprd, ahead = waypoint_measurements(own_track, self.waypoint, self.geom)
         return MeasurementVector(
-            ships=tuple(self._ship_block(own, track[-1]) for track in self._obstacles),
+            ships=tuple(self._ship_block(own, obs) for obs in obstacles),
             course_change=cic,
             speed_change=cis,
             course_changing=ccc,
@@ -555,40 +648,56 @@ class Session:
     def _live(self) -> _SliceState:
         return self._slices[-1]
 
-    def _freeze_live(self, t: float, own: ShipState, obstacles: Sequence[ShipState]) -> None:
-        live = self._live()
-        assert live.message is not None
-        self._frozen_f = self._frozen_f & live.message.f_side
-        self._frozen_vs = self._frozen_vs & live.message.v_side
-        self._frozen_vf = self._frozen_vf & live.message.v_front
-        sa, pa = live.message.turned_sb, live.message.turned_port
-        live.message = None
-        self._slices.append(
-            _SliceState(
-                created_t=t,
+    def _advance(
+        self, own: ShipState, obstacles: Sequence[ShipState], added_slice: bool
+    ) -> StepRecord:
+        """Compute the step for the incoming states, then commit it.
+
+        Everything that can fail (measurement, folding, a contradiction in
+        the posterior bundle) runs before the first write to the session, so
+        a rejected update leaves it exactly as it was.
+        """
+        frozen = (self._frozen_f, self._frozen_vs, self._frozen_vf)
+        new_slice = added_slice or not self._slices
+        if not new_slice:
+            live = self._live()
+        else:
+            sa = pa = nodes.FALSE
+            if self._slices:  # freeze the live slice into the running products
+                msg = self._live().message
+                assert msg is not None
+                frozen = (frozen[0] & msg.f_side, frozen[1] & msg.v_side, frozen[2] & msg.v_front)
+                sa, pa = msg.turned_sb, msg.turned_port
+            live = _SliceState(
+                created_t=own.t,
                 base_courses=self._courses(own, obstacles),
                 base_sogs=self._sogs(own, obstacles),
                 sa_in=sa,
                 pa_in=pa,
             )
+        own_track = [*self._own, own]
+        meas = self._measure(own_track, obstacles)
+        message, node_arrays = _slice_message(
+            self.layout, meas.as_states(), live.sa_in, live.pa_in
         )
+        posterior, node_probs = _posterior_bundle(self.layout, *frozen, message, node_arrays)
 
-    def _refresh(self, added_slice: bool) -> StepRecord:
-        live = self._live()
-        live.meas = self._measure_now()
-        live.message = _slice_message(
-            self.layout, live.meas.as_states(), live.sa_in, live.pa_in
-        )
-        posterior, node_probs = _posterior_bundle(
-            self.layout, self._frozen_f, self._frozen_vs, self._frozen_vf, live.message
-        )
+        if new_slice:
+            if self._slices:
+                self._live().message = None
+            self._slices.append(live)
+        live.meas, live.message = meas, message
+        self._frozen_f, self._frozen_vs, self._frozen_vf = frozen
+        self._own = own_track
+        for track, obs in zip(self._obstacles, obstacles):
+            track.append(obs)
         self._step_index += 1
         record = StepRecord(
-            t=self.now,
+            t=own.t,
             step_index=self._step_index,
             slice_index=len(self._slices) - 1,
             added_slice=added_slice,
-            measurements=live.meas,
+            measurements=meas,
             posterior=posterior,
             node_probs=node_probs,
         )
@@ -675,24 +784,29 @@ def should_add_slice(session: Session, own: ShipState, obstacles: Sequence[ShipS
     return False
 
 
+def _check_states(own: ShipState, obstacles: Sequence[ShipState]) -> None:
+    """Reject non-finite states and obstacle clocks off the reference timestamp."""
+    for state in (own, *obstacles):
+        if not all(math.isfinite(v) for v in (state.t, state.x, state.y, state.sog, state.cog)):
+            raise ValueError(f"ship states must be finite, got {state}")
+        if state.t != own.t:
+            raise ValueError("obstacle states must carry the reference timestamp")
+
+
 def step_update(session: Session, own: ShipState, obstacles: Sequence[ShipState]) -> StepRecord:
-    """Ingest one synchronized set of states and return the updated beliefs."""
+    """Ingest one synchronized set of states and return the updated beliefs.
+
+    The update is atomic: if it raises, the session is left unchanged.
+    """
     if len(obstacles) != session.n_ships:
         raise ValueError(
             f"expected {session.n_ships} obstacle states, got {len(obstacles)}"
         )
+    _check_states(own, obstacles)
     if own.t <= session.now:
         raise ValueError("updates must move strictly forward in time")
-    for obs in obstacles:
-        if obs.t != own.t:
-            raise ValueError("obstacle states must carry the reference timestamp")
     added = should_add_slice(session, own, obstacles)
-    if added:
-        session._freeze_live(own.t, own, obstacles)
-    session._own.append(own)
-    for track, obs in zip(session._obstacles, obstacles):
-        track.append(obs)
-    return session._refresh(added_slice=added)
+    return session._advance(own, obstacles, added_slice=added)
 
 
 def _classify_turn(course: float, reference: float, threshold: float) -> Turn:
@@ -801,27 +915,28 @@ def score_candidates(
     if not candidates:
         raise ValueError("need at least one candidate to score")
     layout = session.layout
-    record = session.last_record
-    dists = _virtual_root_dists(layout, record.posterior)
-    weight = np.array(1.0)
-    for root in layout.f_roots:
-        weight = weight[..., None] * dists[root]
+    dists = _virtual_root_dists(layout, session.last_record.posterior)
+    weight = _Product([dists[root] for root in layout.f_roots], layout.prior.split)
     rho_u = float(dists["unmodeled"][1])
     rho_g = float(dists["ground_intent"][1])
-    live = session._live()
+    carry = session._live().message
+    latches = carry.turned_sb, carry.turned_port
 
+    raw_by_states: dict[tuple[int, ...], float] = {}
     raws: list[float] = []
     vectors: list[MeasurementVector] = []
     for cand in candidates:
         meas = measure_candidate(session, cand, lookahead=lookahead)
-        msg = _slice_message(
-            layout, meas.as_states(), live.message.turned_sb, live.message.turned_port
-        )
-        z_f = float((weight * msg.f_side).sum())
-        z_s = float((dists["safe_ground_side"] * msg.v_side).sum())
-        z_fr = float((dists["safe_ground_front"] * msg.v_front).sum())
-        raw = rho_u + (1.0 - rho_u) * z_f * (rho_g + (1.0 - rho_g) * z_s * z_fr)
-        raws.append(0.0 if raw < SCORE_FLOOR else raw)
+        states = meas.as_states()
+        key = tuple(states.values())
+        if key not in raw_by_states:
+            msg, _ = _slice_message(layout, states, *latches)
+            z_f = weight.expect(msg.f_side)
+            z_s = float((dists["safe_ground_side"] * msg.v_side).sum())
+            z_fr = float((dists["safe_ground_front"] * msg.v_front).sum())
+            raw = rho_u + (1.0 - rho_u) * z_f * (rho_g + (1.0 - rho_g) * z_s * z_fr)
+            raw_by_states[key] = 0.0 if raw < SCORE_FLOOR else raw
+        raws.append(raw_by_states[key])
         vectors.append(meas)
 
     total = sum(raws)

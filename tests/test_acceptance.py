@@ -5,8 +5,9 @@ exact inference against brute-force enumeration, compiled factors against
 the predicate registry, belief decay on hazard approaches, candidate
 ranking in scripted encounters, closest-approach search against a
 golden-section oracle, prior recovery from planted corpora, bin masses
-against adaptive quadrature, latency budgets, and scoring side-effect
-freedom.  Fixtures are frozen; every tolerance is stated inline.
+against adaptive quadrature, latency budgets at one and two obstacle
+ships, and scoring side-effect freedom.  Fixtures are frozen; every
+tolerance is stated inline.
 """
 
 import math
@@ -369,6 +370,23 @@ def test_step_and_replay_meet_latency_budgets():
         step_update(replay, own0.advanced(t), [oncoming.advanced(t)])
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
+
+
+def test_two_ship_step_meets_latency_budget():
+    # Two obstacles at default bins (a 9e6-cell joint): one update plus
+    # scoring the default six-candidate fan must finish in under 2.5 s.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = [
+        ShipState(0.0, 4000.0, 600.0, 4.0, math.pi),
+        ShipState(0.0, 2500.0, -3000.0, 5.0, NORTH),
+    ]
+    session = init_session(own0, obstacles)
+    start = time.perf_counter()
+    step_update(session, own0.advanced(5.0), [o.advanced(5.0) for o in obstacles])
+    result = score_candidates(session, los_candidates(session.own_state))
+    single = time.perf_counter() - start
+    assert len(result.scores) == 6
+    assert single < 2.5
 
 
 def test_candidate_scoring_leaves_session_state_untouched():

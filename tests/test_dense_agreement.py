@@ -1,0 +1,93 @@
+"""The session kernel against the dense reference in ``dense_oracle``.
+
+Marginals, live-node probabilities and raw candidate scores must agree to
+1e-12 at every checked step: the kernel contracts boolean joints against
+per-axis vectors in float64 row chunks, the reference reduces a dense
+``weight * joint``, so only the summation order differs.
+"""
+
+import math
+
+import numpy as np
+from dense_oracle import candidate_raws, session_beliefs
+from helpers import square_ring
+
+from shipintent.discretize import Discretization
+from shipintent.geometry import PolygonMap, ShipState, Waypoint
+from shipintent.runtime import SlicePolicy, init_session, score_candidates, step_update
+from shipintent.trajgen import los_candidates
+
+EAST, NORTH, WEST = 0.0, math.pi / 2, math.pi
+TOL = 1e-12
+
+
+def assert_matches_dense(session, *, score=False):
+    record = session.last_record
+    marginals, node_probs = session_beliefs(session)
+    assert set(record.posterior.marginals) == set(marginals)
+    for name, want in marginals.items():
+        got = np.asarray(record.posterior.marginals[name])
+        assert np.abs(got - np.asarray(want)).max() <= TOL, name
+    assert set(record.node_probs) == set(node_probs)
+    for name, want in node_probs.items():
+        assert abs(record.node_probs[name] - want) <= TOL, name
+    if score:
+        candidates = los_candidates(session.own_state)
+        got = [s.raw for s in score_candidates(session, candidates).scores]
+        want = candidate_raws(session, candidates)
+        assert np.abs(np.asarray(got) - np.asarray(want)).max() <= TOL
+
+
+def test_one_ship_replay_beside_a_hazard_matches_dense():
+    # Default bins; a slowly starboard-turning transit past a square hazard
+    # towards a waypoint, with an oncoming ship.  Slices open by age and on
+    # the turn, so frozen messages accumulate.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    oncoming = ShipState(0.0, 2500.0, 120.0, 4.0, WEST)
+    hazard = PolygonMap(rings=(square_ring(600.0, 450.0, 250.0),)).densified(25.0)
+    session = init_session(
+        own0, [oncoming], hazard=hazard, waypoint=Waypoint(3000.0, -1500.0),
+        policy=SlicePolicy(max_age=30.0, min_age=10.0),
+    )
+    assert_matches_dense(session)
+    for k in range(1, 11):
+        t = 10.0 * k
+        own = ShipState(t, 5.0 * t, -2.0 * k * k, 5.0, -math.radians(3.0 * k))
+        step_update(session, own, [oncoming.advanced(t)])
+        assert_matches_dense(session, score=k in (4, 10))
+    assert session.slice_count >= 3
+
+
+def test_two_ship_replay_that_opens_a_slice_matches_dense():
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = [
+        ShipState(0.0, 2500.0, 120.0, 4.0, WEST),
+        ShipState(0.0, 1500.0, -2000.0, 5.0, NORTH),
+    ]
+    session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
+    for t in (10.0, 20.0):
+        step_update(session, own0.advanced(t), [o.advanced(t) for o in obstacles])
+    assert session.slice_count == 2
+    assert_matches_dense(session, score=True)
+
+
+def test_three_ship_session_runs_and_matches_dense():
+    # Three bins per threshold: 3**4 * 4 * 15**3, about 1.1e6 joint cells.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = [
+        ShipState(0.0, 2500.0, 120.0, 4.0, WEST),
+        ShipState(0.0, 1500.0, -2000.0, 5.0, NORTH),
+        ShipState(0.0, -1500.0, 300.0, 7.0, EAST),
+    ]
+    session = init_session(
+        own0, obstacles, disc=Discretization().with_bins(3),
+        policy=SlicePolicy(max_age=15.0, min_age=5.0),
+    )
+    assert session.layout.prior.rows.size * session.layout.prior.cols.size == 1_093_500
+    assert_matches_dense(session, score=True)
+    for k in range(1, 4):
+        t = 10.0 * k
+        own = ShipState(t, 5.0 * t, 0.0, 5.0, EAST + math.radians(4.0 * k))
+        step_update(session, own, [o.advanced(t) for o in obstacles])
+        assert_matches_dense(session, score=k == 3)
+    assert session.slice_count >= 2

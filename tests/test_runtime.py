@@ -8,7 +8,7 @@ import pytest
 
 from shipintent.bn import ContradictionError, posterior, set_evidence, set_virtual_evidence
 from shipintent.discretize import Discretization, IntentionPriors
-from shipintent.geometry import ShipState, PolygonMap
+from shipintent.geometry import PolygonMap, ShipState, Waypoint
 from shipintent.netbuild import (
     apply_measurement_evidence,
     assert_compatible,
@@ -386,3 +386,96 @@ def test_node_probability_channels_present():
                  "turned_starboard", "turned_port"):
         assert name in record.node_probs
         assert 0.0 <= record.node_probs[name] <= 1.0
+
+
+# -- bad input and atomic updates ------------------------------------------------------
+
+
+def test_non_finite_states_are_rejected_before_any_mutation():
+    own = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacle = ShipState(0.0, 40_000.0, 10_000.0, 5.0, EAST)
+    with pytest.raises(ValueError):
+        init_session(ShipState(0.0, math.nan, 0.0, 5.0, EAST), [obstacle])
+    with pytest.raises(ValueError):
+        init_session(own, [ShipState(0.0, 40_000.0, math.inf, 5.0, EAST)])
+    session = init_session(own, [obstacle])
+    before = session.state_hash()
+    for bad_own, bad_obs in (
+        (ShipState(10.0, 50.0, 0.0, math.inf, EAST), obstacle.advanced(10.0)),
+        (own_at(10.0), ShipState(10.0, 40_050.0, 10_000.0, 5.0, math.nan)),
+        (ShipState(math.inf, 50.0, 0.0, 5.0, EAST), obstacle.advanced(10.0)),
+    ):
+        with pytest.raises(ValueError):
+            step_update(session, bad_own, [bad_obs])
+        assert session.state_hash() == before
+    assert len(session.records) == 1
+
+
+def test_rejected_update_leaves_the_session_unchanged():
+    # Strict priors leave a dead-centre approach unexplained.  The bad update
+    # also opens a slice (the obstacle "turned"), so a half-applied update
+    # would have frozen the live slice and appended the states.
+    priors = IntentionPriors(
+        unmodeled=0.0, ground_intent=0.0, colregs_compliant=1.0,
+        good_seamanship=1.0, priority=(0.0, 0.0, 1.0),
+    )
+    policy = SlicePolicy(max_age=30.0, min_age=5.0)
+    benign = ShipState(0.0, 40_000.0, 10_000.0, 5.0, EAST)
+    session = benign_session(priors=priors, policy=policy)
+    control = benign_session(priors=priors, policy=policy)
+    for s in (session, control):
+        step_update(s, own_at(10.0), [benign.advanced(10.0)])
+    before = session.state_hash()
+    assert before == control.state_hash()
+
+    head_on = ShipState(20.0, 2100.0, 0.0, 5.0, WEST)
+    assert should_add_slice(session, own_at(20.0), [head_on])
+    with pytest.raises(ContradictionError):
+        step_update(session, own_at(20.0), [head_on])
+    assert session.state_hash() == before
+    assert session.slice_count == control.slice_count
+    assert len(session.records) == len(control.records)
+
+    got = step_update(session, own_at(20.0), [benign.advanced(20.0)])
+    want = step_update(control, own_at(20.0), [benign.advanced(20.0)])
+    assert got == want
+    assert session.state_hash() == control.state_hash()
+
+
+def test_probabilities_stay_in_the_unit_interval():
+    # Sixty seeded n=1 encounters, twelve steps each at steady turn rates,
+    # half with a waypoint and half beside a hazard: every node probability
+    # and every marginal entry lies in [0, 1] exactly (rounding once pushed
+    # colav_ok_1 to 1.0000000000000002).
+    rng = np.random.default_rng(2)
+    hazard = PolygonMap(rings=(square_ring(1500.0, 1500.0, 400.0),)).densified(50.0)
+    checked = 0
+    for _ in range(60):
+        own = ShipState(0.0, 0.0, 0.0, rng.uniform(3.0, 8.0), rng.uniform(-math.pi, math.pi))
+        r, ang = rng.uniform(800.0, 5000.0), rng.uniform(-math.pi, math.pi)
+        obs0 = ShipState(0.0, r * math.cos(ang), r * math.sin(ang),
+                         rng.uniform(1.0, 8.0), rng.uniform(-math.pi, math.pi))
+        kwargs = {}
+        if rng.random() < 0.5:
+            kwargs["waypoint"] = Waypoint(*rng.uniform(-4000.0, 4000.0, 2))
+        if rng.random() < 0.5:
+            kwargs["hazard"] = hazard
+        session = init_session(own, [obs0], policy=SlicePolicy(max_age=30.0, min_age=10.0),
+                               **kwargs)
+        records = [session.last_record]
+        rate = math.radians(rng.uniform(-2.0, 2.0))
+        for k in range(1, 13):
+            t = 10.0 * k
+            cog = own.cog + rate * 10.0
+            own = ShipState(t, own.x + own.sog * 10.0 * math.cos(cog),
+                            own.y + own.sog * 10.0 * math.sin(cog), own.sog, cog)
+            try:
+                records.append(step_update(session, own, [obs0.advanced(t)]))
+            except ContradictionError:
+                break
+        for record in records:
+            values = list(record.node_probs.values())
+            values += [p for probs in record.posterior.marginals.values() for p in probs]
+            assert all(0.0 <= v <= 1.0 for v in values)
+            checked += 1
+    assert checked > 600
