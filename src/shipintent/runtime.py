@@ -195,8 +195,11 @@ class ScoreResult:
 # Root-axis layout and per-slice messages
 # --------------------------------------------------------------------------
 
-# Joint cells per row chunk that a contraction converts to float64: this
-# bounds its float scratch at 512 KiB whatever the ship count.
+# Joint cells per row chunk that a contraction converts to float64 (and per
+# chunk that a packed table lookup shifts).  A contraction chunk holds at
+# least one row, the bins**4 cells of the threshold block, so its float
+# scratch is max(_CHUNK_CELLS, bins**4) cells: 512 KiB whatever the ship
+# count up to 16 bins per threshold, one row beyond that.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -335,12 +338,15 @@ def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
     if flat.size > 64:
         return flat[code]
     # Up to 64 entries pack into one machine word: a shift and a mask look the
-    # codes up without numpy first widening them to intp indices.
+    # codes up without numpy first widening them to intp indices.  The shift
+    # runs a chunk at a time, so its word-wide scratch stays small.
     word_type = np.min_scalar_type((1 << flat.size) - 1).type
     word = word_type(sum(1 << int(k) for k in np.flatnonzero(flat)))
-    bits = word >> code
-    bits &= word_type(1)
-    return bits.astype(bool)
+    codes = code.reshape(-1)
+    out = np.empty(codes.size, dtype=bool)
+    for s in range(0, codes.size, _CHUNK_CELLS):
+        out[s : s + _CHUNK_CELLS] = (word >> codes[s : s + _CHUNK_CELLS]) & word_type(1)
+    return out.reshape(code.shape)
 
 
 @dataclass
