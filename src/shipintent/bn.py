@@ -15,6 +15,7 @@ probability space; priors are expected to keep mass away from underflow.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -75,6 +76,23 @@ def boolean(var_id: str) -> Variable:
 
 def binned(var_id: str, bins: int) -> Variable:
     return Variable(var_id, tuple(f"b{i}" for i in range(bins)))
+
+
+@functools.lru_cache(maxsize=1024)
+def truth_table(predicate: Callable[..., bool], cards: tuple[int, ...]) -> np.ndarray:
+    """Read-only boolean table of ``predicate`` over every parent-state combination.
+
+    Cached per (predicate, parent cardinalities) and shared by every caller,
+    so the sliced network's CPTs and the session engine's lookups read the
+    same table.  The cache is bounded because ad-hoc predicates (a fresh
+    lambda per network) would otherwise pile up; it holds every model table
+    at up to three ships for several discretizations at once.
+    """
+    table = np.empty(cards, dtype=bool)
+    for idx in itertools.product(*(range(c) for c in cards)):
+        table[idx] = bool(predicate(*idx))
+    table.flags.writeable = False
+    return table
 
 
 class Factor:
@@ -143,13 +161,8 @@ class Factor:
         cards = tuple(p.cardinality for p in parents) + (2,)
 
         def build() -> np.ndarray:
-            parent_cards = cards[:-1]
-            out = np.empty(cards, dtype=np.float64)
-            for idx in itertools.product(*(range(c) for c in parent_cards)):
-                truth = bool(predicate(*idx))
-                out[idx + (0,)] = 0.0 if truth else 1.0
-                out[idx + (1,)] = 1.0 if truth else 0.0
-            return out
+            truth = truth_table(predicate, cards[:-1])
+            return np.stack((~truth, truth), axis=-1).astype(np.float64)
 
         return cls(scope, cards, build=build, kind="predicate")
 
@@ -577,3 +590,40 @@ def joint_enumerate_oracle(net: Network, query: str, cap: int = 10_000_000) -> D
     if total <= 0.0:
         raise ContradictionError("evidence has zero probability", diagnosis=query)
     return Distribution(query, net.variables[query].states, vec / total)
+
+
+def random_network(
+    rng: np.random.Generator,
+    max_vars: int = 8,
+    max_card: int = 4,
+    joint_cap: int | None = None,
+) -> tuple[Network, list[str]]:
+    """A random DAG with random CPTs plus random hard and virtual evidence.
+
+    Returns the network and the ids of the non-hard-evidence variables
+    (valid query targets).  The variable count is redrawn until the joint
+    has at most ``joint_cap`` cells.
+    """
+    while True:
+        n = int(rng.integers(3, max_vars + 1))
+        cards = rng.integers(2, max_card + 1, size=n)
+        if joint_cap is None or int(np.prod(cards.astype(np.int64))) <= joint_cap:
+            break
+    net = Network()
+    variables = []
+    for i in range(n):
+        var = binned(f"v{i}", int(cards[i]))
+        n_parents = min(i, int(rng.integers(0, 4)))
+        picked = rng.choice(i, size=n_parents, replace=False) if n_parents else []
+        parents = [variables[int(j)] for j in sorted(picked)]
+        table = rng.random([p.cardinality for p in parents] + [var.cardinality]) + 0.05
+        table /= table.sum(axis=-1, keepdims=True)
+        net.add_variable(var)
+        net.add_cpt(Factor.cpt(var, parents, table))
+        variables.append(var)
+    hard_idx, soft_idx = (int(j) for j in rng.choice(n, size=2, replace=False))
+    hard = variables[hard_idx]
+    set_evidence(net, hard.id, int(rng.integers(hard.cardinality)))
+    soft = variables[soft_idx]
+    set_virtual_evidence(net, soft.id, 0.1 + 0.9 * rng.random(soft.cardinality))
+    return net, [v.id for v in variables if v.id != hard.id]

@@ -34,19 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .bn import (
-    ContradictionError,
-    Factor,
-    Network,
-    binned,
-    joint_enumerate_oracle,
-    posterior,
-    set_evidence,
-    set_virtual_evidence,
-)
+from .bn import ContradictionError, joint_enumerate_oracle, posterior, random_network, set_evidence
 from .config import ConfigError, RunConfig, default_config, load_config, save_config
 from .dataio import DataError, RunRecord, export_run, load_ais_csv, load_map_geojson
-from .discretize import Discretization, IntentionPriors, threshold_prior_masses
+from .discretize import THRESHOLDS, Discretization, IntentionPriors, threshold_prior_masses
 from .extract import (
     Encounter,
     collect_samples,
@@ -65,15 +56,6 @@ from .geometry import (
 from .netbuild import apply_measurement_evidence, assert_compatible, build_intention_dbn
 from .runtime import ScoreResult, Session, init_session, score_candidates, step_update
 from .trajgen import LosParams, los_candidates
-
-THRESHOLD_NODES = (
-    "safe_cpa",
-    "safe_front_cross",
-    "safe_midpoint",
-    "ample_time",
-    "safe_ground_side",
-    "safe_ground_front",
-)
 
 
 # --------------------------------------------------------------------------
@@ -302,32 +284,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _random_net(rng: np.random.Generator) -> tuple[Network, list[str]]:
-    n = int(rng.integers(4, 9))
-    net = Network()
-    variables = []
-    for i in range(n):
-        var = binned(f"v{i}", int(rng.integers(2, 4)))
-        n_parents = min(i, int(rng.integers(0, 3)))
-        picked = rng.choice(i, size=n_parents, replace=False) if n_parents else []
-        parents = [variables[int(j)] for j in picked]
-        table = rng.random([p.cardinality for p in parents] + [var.cardinality]) + 0.05
-        table /= table.sum(axis=-1, keepdims=True)
-        net.add_variable(var)
-        net.add_cpt(Factor.cpt(var, parents, table))
-        variables.append(var)
-    hard_idx, soft_idx = (int(j) for j in rng.choice(n, size=2, replace=False))
-    hard = variables[hard_idx]
-    set_evidence(net, hard.id, int(rng.integers(hard.cardinality)))
-    soft = variables[soft_idx]
-    set_virtual_evidence(net, soft.id, 0.1 + 0.9 * rng.random(soft.cardinality))
-    return net, [v.id for v in variables if v.id != hard.id]
-
-
 def _check_inference() -> str | None:
     rng = np.random.default_rng(20240817)
     for trial in range(20):
-        net, queries = _random_net(rng)
+        net, queries = random_network(rng)
         query = queries[int(rng.integers(len(queries)))]
         got = posterior(net, query).as_tuple()
         want = joint_enumerate_oracle(net, query).as_tuple()
@@ -339,7 +299,7 @@ def _check_inference() -> str | None:
 
 def _check_discretization() -> str | None:
     priors, disc = IntentionPriors(), Discretization()
-    for name in THRESHOLD_NODES:
+    for name in THRESHOLDS:
         drift = abs(float(threshold_prior_masses(priors, disc, name).sum()) - 1.0)
         if drift > 1e-12:
             return f"{name} bin masses sum to 1{drift:+.2e}"

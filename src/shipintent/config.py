@@ -8,17 +8,25 @@ validated strictly against :data:`CONFIG_SCHEMA` — unknown keys are errors,
 not typos to silently ignore.  :func:`serialize_config` emits a canonical
 form (sorted keys, two-space indent, trailing newline) and is a fixpoint:
 serializing what it parsed reproduces a canonicalized file byte for byte.
+
+Each file key is declared once, in the field table below, with the dataclass
+attribute it sets and its kind; the schema, the parser and the serializer
+are all built from that table.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
 from .discretize import (
+    CHANNEL_REGISTRY,
+    INTENTION_BINARY,
+    THRESHOLDS,
     Channel,
     Discretization,
     DiscretizationError,
@@ -42,34 +50,6 @@ __all__ = [
 ]
 
 EXPORT_FORMATS = ("csv", "jsonl")
-
-_THRESHOLD_PRIORS = (
-    "safe_cpa",
-    "safe_front_cross",
-    "safe_midpoint",
-    "ample_time",
-    "safe_ground_side",
-    "safe_ground_front",
-)
-_BERNOULLI_PRIORS = ("colregs_compliant", "good_seamanship", "ground_intent", "unmodeled")
-_CHANNELS = ("cpa", "front_cross", "midpoint", "time_to_cpa", "ground_side", "ground_front")
-
-#: geometry fields stored in radians internally but degrees in the file
-_GEOMETRY_ANGLES = (
-    "front_half_angle",
-    "head_on_half_angle",
-    "stern_half_angle",
-    "wp_ahead_half_angle",
-    "wp_bearing_deadband",
-    "course_change_threshold",
-)
-_GEOMETRY_PLAIN = (
-    "wp_window",
-    "wp_distance_deadband",
-    "course_changing_window",
-    "speed_change_threshold",
-)
-
 
 class ConfigError(ValueError):
     """A configuration document that doesn't satisfy the published schema."""
@@ -113,7 +93,8 @@ def default_config() -> RunConfig:
 
 
 # --------------------------------------------------------------------------
-# Published schema (draft-2020 JSON Schema subset; validated by _check below)
+# File format: the field table and the published schema it builds
+# (draft-2020 JSON Schema subset; validated by _check below)
 
 
 def _num(minimum: float | None = None, exclusive: bool = False, maximum: float | None = None) -> dict:
@@ -136,84 +117,122 @@ def _obj(properties: dict, required: tuple[str, ...] = ()) -> dict:
     return out
 
 
+_PROBABILITY = _num(0.0, maximum=1.0)
+_ANGLE = _num(0.0, maximum=180.0)
+
+
+@dataclass(frozen=True)
+class _Field:
+    """One file key: the dataclass attribute it sets, its kind and its schema.
+
+    A ``section`` field holds a nested dataclass whose keys are ``fields``;
+    every other kind converts through :data:`_KINDS`.  Angle kinds store
+    degrees in the file under ``<attribute>_deg``.
+    """
+
+    attr: str
+    kind: str
+    schema: dict[str, Any]
+    fields: tuple["_Field", ...] = ()
+
+    @property
+    def key(self) -> str:
+        return f"{self.attr}_deg" if self.kind.startswith("degrees") else self.attr
+
+
+def _truncnorm(d: dict) -> TruncNorm:
+    return TruncNorm(float(d["mu"]), float(d["sigma"]), float(d["lo"]), float(d["hi"]))
+
+
+#: kind -> (file value to attribute value, attribute value to file value)
+_KINDS: dict[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
+    "number": (lambda v: None if v is None else float(v), lambda v: v),
+    "text": (lambda v: v, lambda v: v),
+    "degrees": (lambda v: math.radians(float(v)), math.degrees),
+    "numbers": (lambda v: tuple(float(x) for x in v), list),
+    "degrees_array": (
+        lambda v: tuple(math.radians(float(x)) for x in v),
+        lambda v: [math.degrees(x) for x in v],
+    ),
+    "truncnorm": (_truncnorm, lambda t: {"mu": t.mu, "sigma": t.sigma, "lo": t.lo, "hi": t.hi}),
+    "channel": (
+        lambda d: Channel(float(d["upper"]), int(d["bins"])),
+        lambda c: {"upper": c.upper, "bins": c.bins},
+    ),
+}
+
 _TRUNCNORM_SCHEMA = _obj(
-    {
-        "mu": _num(),
-        "sigma": _num(0.0, exclusive=True),
-        "lo": _num(),
-        "hi": _num(),
-    },
+    {"mu": _num(), "sigma": _num(0.0, exclusive=True), "lo": _num(), "hi": _num()},
     required=("mu", "sigma", "lo", "hi"),
 )
+_CHANNEL_SCHEMA = _obj(
+    {"upper": _num(0.0, exclusive=True), "bins": {"type": "integer", "minimum": 2}},
+    required=("upper", "bins"),
+)
 
-_PROBABILITY = _num(0.0, maximum=1.0)
+
+def _section(attr: str, *fields: _Field) -> _Field:
+    return _Field(attr, "section", _obj({f.key: f.schema for f in fields}), fields)
+
+
+_FIELDS = (
+    _section(
+        "priors",
+        *(_Field(name, "truncnorm", _TRUNCNORM_SCHEMA) for name in THRESHOLDS),
+        *(_Field(name, "number", _PROBABILITY) for name in INTENTION_BINARY),
+        _Field(
+            "priority",
+            "numbers",
+            {"type": "array", "items": _PROBABILITY, "minItems": 3, "maxItems": 3},
+        ),
+        _Field("situation_concentration", "number", _num(0.0, exclusive=True, maximum=1.0)),
+    ),
+    _section(
+        "discretization",
+        *(_Field(row.channel, "channel", _CHANNEL_SCHEMA) for row in CHANNEL_REGISTRY),
+    ),
+    _section(
+        "geometry",
+        _Field("front_half_angle", "degrees", _ANGLE),
+        _Field("head_on_half_angle", "degrees", _ANGLE),
+        _Field("stern_half_angle", "degrees", _ANGLE),
+        _Field("wp_ahead_half_angle", "degrees", _ANGLE),
+        _Field("wp_bearing_deadband", "degrees", _ANGLE),
+        _Field("course_change_threshold", "degrees", _ANGLE),
+        _Field("wp_window", "number", _num(0.0, exclusive=True)),
+        _Field("wp_distance_deadband", "number", _num(0.0)),
+        _Field("course_changing_window", "number", _num(0.0, exclusive=True)),
+        _Field("speed_change_threshold", "number", _num(0.0, exclusive=True)),
+    ),
+    _section(
+        "slice_policy",
+        _Field("max_age", "number", _num(0.0, exclusive=True)),
+        _Field("min_age", "number", _num(0.0)),
+        _Field("course_delta", "degrees", _num(0.0, exclusive=True, maximum=180.0)),
+        _Field("speed_delta", "number", _num(0.0, exclusive=True)),
+    ),
+    _section(
+        "trajectories",
+        _Field(
+            "offsets",
+            "degrees_array",
+            {"type": "array", "items": _num(-180.0, maximum=180.0), "minItems": 1},
+        ),
+        _Field("turn_rate", "degrees", _num(0.0, exclusive=True)),
+        _Field("horizon", "number", _num(0.0, exclusive=True)),
+        _Field("dt", "number", _num(0.0, exclusive=True)),
+        _Field("pursuit_lookahead", "number", _num(0.0, exclusive=True)),
+    ),
+    _Field("lookahead", "number", _num(0.0)),
+    _Field("ground_threshold", "number", _num(0.0, exclusive=True)),
+    _Field("map_densify_spacing", "number", {"type": ["number", "null"], "exclusiveMinimum": 0.0}),
+    _Field("export_format", "text", {"type": "string", "enum": list(EXPORT_FORMATS)}),
+)
 
 CONFIG_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "title": "shipintent run configuration",
-    **_obj(
-        {
-            "priors": _obj(
-                {
-                    **{name: _TRUNCNORM_SCHEMA for name in _THRESHOLD_PRIORS},
-                    **{name: _PROBABILITY for name in _BERNOULLI_PRIORS},
-                    "priority": {
-                        "type": "array",
-                        "items": _PROBABILITY,
-                        "minItems": 3,
-                        "maxItems": 3,
-                    },
-                    "situation_concentration": _num(0.0, exclusive=True, maximum=1.0),
-                }
-            ),
-            "discretization": _obj(
-                {
-                    name: _obj(
-                        {
-                            "upper": _num(0.0, exclusive=True),
-                            "bins": {"type": "integer", "minimum": 2},
-                        },
-                        required=("upper", "bins"),
-                    )
-                    for name in _CHANNELS
-                }
-            ),
-            "geometry": _obj(
-                {
-                    **{f"{name}_deg": _num(0.0, maximum=180.0) for name in _GEOMETRY_ANGLES},
-                    "wp_window": _num(0.0, exclusive=True),
-                    "wp_distance_deadband": _num(0.0),
-                    "course_changing_window": _num(0.0, exclusive=True),
-                    "speed_change_threshold": _num(0.0, exclusive=True),
-                }
-            ),
-            "slice_policy": _obj(
-                {
-                    "max_age": _num(0.0, exclusive=True),
-                    "min_age": _num(0.0),
-                    "course_delta_deg": _num(0.0, exclusive=True, maximum=180.0),
-                    "speed_delta": _num(0.0, exclusive=True),
-                }
-            ),
-            "trajectories": _obj(
-                {
-                    "offsets_deg": {
-                        "type": "array",
-                        "items": _num(-180.0, maximum=180.0),
-                        "minItems": 1,
-                    },
-                    "turn_rate_deg": _num(0.0, exclusive=True),
-                    "horizon": _num(0.0, exclusive=True),
-                    "dt": _num(0.0, exclusive=True),
-                    "pursuit_lookahead": _num(0.0, exclusive=True),
-                }
-            ),
-            "lookahead": _num(0.0),
-            "ground_threshold": _num(0.0, exclusive=True),
-            "map_densify_spacing": {"type": ["number", "null"], "exclusiveMinimum": 0.0},
-            "export_format": {"type": "string", "enum": list(EXPORT_FORMATS)},
-        }
-    ),
+    **_obj({f.key: f.schema for f in _FIELDS}),
 }
 
 
@@ -283,150 +302,42 @@ def parse_config(text: str) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}") from exc
     _check(data, CONFIG_SCHEMA, "")
-    defaults = RunConfig()
     try:
-        priors = _parse_priors(data.get("priors", {}), defaults.priors)
-        disc = _parse_discretization(data.get("discretization", {}), defaults.discretization)
-        geometry = _parse_geometry(data.get("geometry", {}), defaults.geometry)
-        policy = _parse_policy(data.get("slice_policy", {}), defaults.slice_policy)
-        trajectories = _parse_trajectories(data.get("trajectories", {}), defaults.trajectories)
-        return RunConfig(
-            priors=priors,
-            discretization=disc,
-            geometry=geometry,
-            slice_policy=policy,
-            trajectories=trajectories,
-            lookahead=float(data.get("lookahead", defaults.lookahead)),
-            ground_threshold=float(data.get("ground_threshold", defaults.ground_threshold)),
-            map_densify_spacing=(
-                None
-                if data.get("map_densify_spacing") is None
-                else float(data["map_densify_spacing"])
-            ),
-            export_format=data.get("export_format", defaults.export_format),
-        )
+        return _load(data, RunConfig(), _FIELDS)
     except (DiscretizationError, ValueError) as exc:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
 
 
-def _parse_priors(data: dict, base: IntentionPriors) -> IntentionPriors:
-    kwargs: dict[str, Any] = {}
-    for name in _THRESHOLD_PRIORS:
-        if name in data:
-            d = data[name]
-            kwargs[name] = TruncNorm(
-                float(d["mu"]), float(d["sigma"]), float(d["lo"]), float(d["hi"])
-            )
-    for name in _BERNOULLI_PRIORS:
-        if name in data:
-            kwargs[name] = float(data[name])
-    if "priority" in data:
-        kwargs["priority"] = tuple(float(p) for p in data["priority"])
-    if "situation_concentration" in data:
-        kwargs["situation_concentration"] = float(data["situation_concentration"])
-    return replace(base, **kwargs)
-
-
-def _parse_discretization(data: dict, base: Discretization) -> Discretization:
+def _load(data: dict, base: Any, fields: tuple[_Field, ...]) -> Any:
+    """``base`` with every key present in ``data`` converted and swapped in."""
     kwargs = {
-        name: Channel(float(data[name]["upper"]), int(data[name]["bins"]))
-        for name in _CHANNELS
-        if name in data
+        f.attr: (
+            _load(data[f.key], getattr(base, f.attr), f.fields)
+            if f.kind == "section"
+            else _KINDS[f.kind][0](data[f.key])
+        )
+        for f in fields
+        if f.key in data
     }
     return replace(base, **kwargs)
 
 
-def _parse_geometry(data: dict, base: GeometryParams) -> GeometryParams:
-    kwargs: dict[str, float] = {}
-    for name in _GEOMETRY_ANGLES:
-        key = f"{name}_deg"
-        if key in data:
-            kwargs[name] = math.radians(float(data[key]))
-    for name in _GEOMETRY_PLAIN:
-        if name in data:
-            kwargs[name] = float(data[name])
-    return replace(base, **kwargs)
-
-
-def _parse_policy(data: dict, base: SlicePolicy) -> SlicePolicy:
-    kwargs: dict[str, float] = {}
-    if "max_age" in data:
-        kwargs["max_age"] = float(data["max_age"])
-    if "min_age" in data:
-        kwargs["min_age"] = float(data["min_age"])
-    if "course_delta_deg" in data:
-        kwargs["course_delta"] = math.radians(float(data["course_delta_deg"]))
-    if "speed_delta" in data:
-        kwargs["speed_delta"] = float(data["speed_delta"])
-    return replace(base, **kwargs)
-
-
-def _parse_trajectories(data: dict, base: LosParams) -> LosParams:
-    kwargs: dict[str, Any] = {}
-    if "offsets_deg" in data:
-        kwargs["offsets"] = tuple(math.radians(float(o)) for o in data["offsets_deg"])
-    if "turn_rate_deg" in data:
-        kwargs["turn_rate"] = math.radians(float(data["turn_rate_deg"]))
-    for name in ("horizon", "dt", "pursuit_lookahead"):
-        if name in data:
-            kwargs[name] = float(data[name])
-    return replace(base, **kwargs)
-
-
-def _config_dict(cfg: RunConfig) -> dict[str, Any]:
-    pri = cfg.priors
-    priors: dict[str, Any] = {
-        name: {
-            "mu": getattr(pri, name).mu,
-            "sigma": getattr(pri, name).sigma,
-            "lo": getattr(pri, name).lo,
-            "hi": getattr(pri, name).hi,
-        }
-        for name in _THRESHOLD_PRIORS
-    }
-    priors.update({name: getattr(pri, name) for name in _BERNOULLI_PRIORS})
-    priors["priority"] = list(pri.priority)
-    priors["situation_concentration"] = pri.situation_concentration
-    geo = {
-        f"{name}_deg": math.degrees(getattr(cfg.geometry, name))
-        for name in _GEOMETRY_ANGLES
-    }
-    geo.update({name: getattr(cfg.geometry, name) for name in _GEOMETRY_PLAIN})
+def _dump(obj: Any, fields: tuple[_Field, ...]) -> dict[str, Any]:
     return {
-        "priors": priors,
-        "discretization": {
-            name: {
-                "upper": getattr(cfg.discretization, name).upper,
-                "bins": getattr(cfg.discretization, name).bins,
-            }
-            for name in _CHANNELS
-        },
-        "geometry": geo,
-        "slice_policy": {
-            "max_age": cfg.slice_policy.max_age,
-            "min_age": cfg.slice_policy.min_age,
-            "course_delta_deg": math.degrees(cfg.slice_policy.course_delta),
-            "speed_delta": cfg.slice_policy.speed_delta,
-        },
-        "trajectories": {
-            "offsets_deg": [math.degrees(o) for o in cfg.trajectories.offsets],
-            "turn_rate_deg": math.degrees(cfg.trajectories.turn_rate),
-            "horizon": cfg.trajectories.horizon,
-            "dt": cfg.trajectories.dt,
-            "pursuit_lookahead": cfg.trajectories.pursuit_lookahead,
-        },
-        "lookahead": cfg.lookahead,
-        "ground_threshold": cfg.ground_threshold,
-        "map_densify_spacing": cfg.map_densify_spacing,
-        "export_format": cfg.export_format,
+        f.key: (
+            _dump(getattr(obj, f.attr), f.fields)
+            if f.kind == "section"
+            else _KINDS[f.kind][1](getattr(obj, f.attr))
+        )
+        for f in fields
     }
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical JSON: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(_config_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_dump(cfg, _FIELDS), indent=2, sort_keys=True) + "\n"
 
 
 def load_config(path: str | Path) -> RunConfig:

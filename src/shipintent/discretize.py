@@ -5,13 +5,14 @@ equal-width bins where the last bin doubles as the saturation bucket for
 anything at or beyond the upper edge (including the ``inf`` sentinel the
 geometry layer emits).  A measurement channel and the intention threshold it
 is compared against must share a channel so "greater" reduces to a strict
-bin-index comparison.
+bin-index comparison.  :data:`CHANNEL_REGISTRY` is the one place that pairs
+each threshold with its channel and its measurements.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.stats import norm
@@ -19,6 +20,32 @@ from scipy.stats import norm
 
 class DiscretizationError(ValueError):
     """Bad channel settings or a degenerate truncation window."""
+
+
+@dataclass(frozen=True)
+class ChannelRow:
+    """A threshold root, the channel it is binned on, and the measurement
+    nodes (slice-local bases) compared against it on that channel."""
+
+    threshold: str
+    channel: str
+    measurements: tuple[str, ...]
+
+
+CHANNEL_REGISTRY = (
+    ChannelRow("safe_cpa", "cpa", ("meas_dcpa",)),
+    ChannelRow("safe_front_cross", "front_cross", ("meas_front_cross",)),
+    ChannelRow("safe_midpoint", "midpoint", ("meas_midpoint_dist",)),
+    ChannelRow("ample_time", "time_to_cpa", ("meas_tcpa",)),
+    ChannelRow("safe_ground_side", "ground_side", ("meas_ground_sb", "meas_ground_ps")),
+    ChannelRow("safe_ground_front", "ground_front", ("meas_ground_front",)),
+)
+THRESHOLDS = tuple(row.threshold for row in CHANNEL_REGISTRY)
+INTENTION_BINARY = ("colregs_compliant", "good_seamanship", "ground_intent", "unmodeled")
+
+_CHANNEL_OF = {
+    node: row.channel for row in CHANNEL_REGISTRY for node in (row.threshold, *row.measurements)
+}
 
 
 @dataclass(frozen=True)
@@ -31,6 +58,8 @@ class TruncNorm:
     hi: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in (self.mu, self.sigma, self.lo, self.hi)):
+            raise DiscretizationError("truncated normal parameters must be finite")
         if not self.sigma > 0.0:
             raise DiscretizationError("sigma must be positive")
         if not self.hi > self.lo:
@@ -45,8 +74,8 @@ class Channel:
     bins: int = 10
 
     def __post_init__(self) -> None:
-        if self.upper <= 0.0 or self.bins < 2:
-            raise DiscretizationError("channel needs upper > 0 and >= 2 bins")
+        if not (math.isfinite(self.upper) and self.upper > 0.0) or self.bins < 2:
+            raise DiscretizationError("channel needs a finite upper > 0 and >= 2 bins")
 
     @property
     def width(self) -> float:
@@ -100,14 +129,14 @@ class Discretization:
     ground_side: Channel = Channel(700.0)
     ground_front: Channel = Channel(800.0)
 
+    def channel(self, node: str) -> Channel:
+        """The channel a threshold root or a measurement base is binned on."""
+        return getattr(self, _CHANNEL_OF[node])
+
     def with_bins(self, bins: int) -> "Discretization":
         """Same ranges, different resolution (handy for fast exact tests)."""
-        return Discretization(
-            **{
-                name: replace(getattr(self, name), bins=bins)
-                for name in ("cpa", "front_cross", "midpoint", "time_to_cpa", "ground_side", "ground_front")
-            }
-        )
+        channels = (row.channel for row in CHANNEL_REGISTRY)
+        return Discretization(**{c: replace(getattr(self, c), bins=bins) for c in channels})
 
 
 @dataclass(frozen=True)
@@ -133,10 +162,14 @@ class IntentionPriors:
     situation_concentration: float = 0.92
 
     def __post_init__(self) -> None:
-        for name in ("colregs_compliant", "good_seamanship", "ground_intent", "unmodeled"):
+        for name in INTENTION_BINARY:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise DiscretizationError(f"{name} must be a probability, got {p}")
+        if not all(math.isfinite(p) and p >= 0.0 for p in self.priority):
+            raise DiscretizationError(
+                f"priority entries must be finite and >= 0, got {self.priority}"
+            )
         if abs(sum(self.priority) - 1.0) > 1e-9:
             raise DiscretizationError("priority distribution must sum to 1")
         if not 0.0 < self.situation_concentration <= 1.0:
@@ -153,23 +186,13 @@ def situation_prior(measured_index: int, n_states: int = 5, concentration: float
     return vec
 
 
-_CHANNEL_OF_THRESHOLD = {
-    "safe_cpa": "cpa",
-    "safe_front_cross": "front_cross",
-    "safe_midpoint": "midpoint",
-    "ample_time": "time_to_cpa",
-    "safe_ground_side": "ground_side",
-    "safe_ground_front": "ground_front",
-}
-
-
 def threshold_prior_masses(priors: IntentionPriors, disc: Discretization, name: str) -> np.ndarray:
     """Discretized prior for one real-valued intention threshold.
 
     The truncation window must coincide with the channel range, otherwise the
     bin-index comparison against measurements would be meaningless.
     """
-    channel: Channel = getattr(disc, _CHANNEL_OF_THRESHOLD[name])
+    channel = disc.channel(name)
     spec: TruncNorm = getattr(priors, name)
     if spec.lo != 0.0 or spec.hi != channel.upper:
         raise DiscretizationError(

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .discretize import Channel, Discretization, IntentionPriors, TruncNorm
+from .discretize import Discretization, IntentionPriors, TruncNorm
 from .geometry import (
     GeometryParams,
     PolygonMap,
@@ -278,14 +278,14 @@ def fit_truncnorm(samples: Sequence[float], lo: float, hi: float) -> tuple[float
     return mu, sigma
 
 
-#: intention name -> (channel attribute, short description for reports)
-_TARGETS = {
-    "safe_front_cross": ("front_cross", "front clearance while crossing"),
-    "safe_cpa": ("cpa", "closest approach while overtaking"),
-    "safe_midpoint": ("midpoint", "midpoint clearance while head-on"),
-    "ample_time": ("time_to_cpa", "time to closest approach"),
-    "safe_ground_side": ("ground_side", "side hazard clearance"),
-    "safe_ground_front": ("ground_front", "front hazard clearance"),
+#: threshold name -> short description for reports, in report order
+_DESCRIPTIONS = {
+    "safe_front_cross": "front clearance while crossing",
+    "safe_cpa": "closest approach while overtaking",
+    "safe_midpoint": "midpoint clearance while head-on",
+    "ample_time": "time to closest approach",
+    "safe_ground_side": "side hazard clearance",
+    "safe_ground_front": "front hazard clearance",
 }
 
 
@@ -317,7 +317,7 @@ class ExtractionResult:
     def report(self) -> str:
         """Human-readable summary: sample counts, fits, fallbacks."""
         lines = ["extraction report", "=================="]
-        for name, (_, desc) in _TARGETS.items():
+        for name, desc in _DESCRIPTIONS.items():
             count = self.sample_counts.get(name, 0)
             fit = self.fitted.get(name)
             if fit is None:
@@ -375,7 +375,7 @@ def collect_samples(
 
 def merge_samples(parts: Iterable[Mapping[str, list[float]]]) -> dict[str, list[float]]:
     """Concatenate chunked :func:`collect_samples` outputs in chunk order."""
-    merged: dict[str, list[float]] = {name: [] for name in (*_TARGETS, "dcpa")}
+    merged: dict[str, list[float]] = {name: [] for name in (*_DESCRIPTIONS, "dcpa")}
     for part in parts:
         for name, vals in part.items():
             merged[name].extend(vals)
@@ -388,12 +388,11 @@ def result_from_samples(
     """Fit whatever the collected samples support (>= 2 values per target)."""
     fitted: dict[str, tuple[float, float] | None] = {}
     counts: dict[str, int] = {}
-    for name, (channel_attr, _) in _TARGETS.items():
-        channel: Channel = getattr(disc, channel_attr)
+    for name in _DESCRIPTIONS:
         vals = samples[name]
         counts[name] = len(vals)
         fitted[name] = (
-            fit_truncnorm(vals, 0.0, channel.upper) if len(vals) >= 2 else None
+            fit_truncnorm(vals, 0.0, disc.channel(name).upper) if len(vals) >= 2 else None
         )
     return ExtractionResult(
         isdf_vals=tuple(samples["safe_front_cross"]),
@@ -429,7 +428,7 @@ def priors_from_result(
     """Swap fitted thresholds into ``base``, warning where the fit fell back."""
     base = IntentionPriors() if base is None else base
     updates: dict[str, TruncNorm] = {}
-    for name, (channel_attr, desc) in _TARGETS.items():
+    for name, desc in _DESCRIPTIONS.items():
         fit = result.fitted[name]
         if fit is None:
             stock: TruncNorm = getattr(base, name)
@@ -440,8 +439,7 @@ def priors_from_result(
                 stacklevel=2,
             )
             continue
-        channel: Channel = getattr(disc, channel_attr)
-        updates[name] = TruncNorm(fit[0], fit[1], 0.0, channel.upper)
+        updates[name] = TruncNorm(fit[0], fit[1], 0.0, disc.channel(name).upper)
     return replace(base, **updates)
 
 

@@ -17,7 +17,14 @@ import numpy as np
 
 from . import nodes
 from .bn import Factor, Network, Variable, binned, boolean, set_evidence
-from .discretize import Discretization, IntentionPriors, situation_prior, threshold_prior_masses
+from .discretize import (
+    INTENTION_BINARY,
+    THRESHOLDS,
+    Discretization,
+    IntentionPriors,
+    situation_prior,
+    threshold_prior_masses,
+)
 from .geometry import Situation
 from .nodes import MeasurementVector, at, ship
 
@@ -26,43 +33,24 @@ def node_count(n_ships: int, slices: int) -> int:
     return 12 + 2 * n_ships + slices * (16 + 23 * n_ships)
 
 
-def _measurement_variable(base: str, disc: Discretization) -> Variable:
-    stem = base.rsplit("_", 1)[0] if base.rsplit("_", 1)[-1].isdigit() else base
-    channel_name = nodes.MEASUREMENT_CHANNELS.get(stem)
-    if channel_name is not None:
-        return binned(base, getattr(disc, channel_name).bins)
-    if base == "meas_course_change":
-        return Variable(base, nodes.TURN_STATES)
-    if base == "meas_speed_change":
-        return Variable(base, nodes.SPEED_STATES)
-    if base in ("meas_wp_bearing", "meas_wp_distance"):
-        return Variable(base, nodes.TREND_STATES)
-    if base in ("meas_course_changing", "meas_wp_ahead") or base.startswith("meas_passed"):
-        return boolean(base)
-    if base.startswith(("meas_pass_side", "meas_midpoint_side")):
-        return Variable(base, nodes.SIDE_STATES)
-    if base.startswith("meas_situation"):
-        return Variable(base, nodes.SITUATION_STATES)
-    raise ValueError(f"no variable rule for measurement {base!r}")
-
-
 def intention_variables(n_ships: int, disc: Discretization) -> list[Variable]:
-    out: list[Variable] = []
-    for name in nodes.INTENTION_REAL:
-        channel = {
-            "safe_cpa": disc.cpa,
-            "safe_front_cross": disc.front_cross,
-            "safe_midpoint": disc.midpoint,
-            "ample_time": disc.time_to_cpa,
-            "safe_ground_side": disc.ground_side,
-            "safe_ground_front": disc.ground_front,
-        }[name]
-        out.append(binned(name, channel.bins))
-    for name in nodes.INTENTION_BINARY:
-        out.append(boolean(name))
+    out = [binned(name, disc.channel(name).bins) for name in THRESHOLDS]
+    out += [boolean(name) for name in INTENTION_BINARY]
     for i in range(1, n_ships + 1):
         out.append(Variable(ship("priority", i), nodes.PRIORITY_STATES))
         out.append(Variable(ship("situation_view", i), nodes.SITUATION_STATES))
+    return out
+
+
+def measurement_variables(n_ships: int, disc: Discretization) -> list[Variable]:
+    """Every slice-local measurement root, in network order."""
+    labels = {**nodes.SHARED_MEASUREMENTS, **nodes.SHIP_MEASUREMENTS}
+    out = []
+    for node, base in nodes.measurement_bases(n_ships).items():
+        if labels[base] is None:
+            out.append(binned(node, disc.channel(base).bins))
+        else:
+            out.append(Variable(node, labels[base]))
     return out
 
 
@@ -72,18 +60,10 @@ def intention_prior_vector(
     disc: Discretization,
     situations: Sequence[Situation] | None,
 ) -> np.ndarray:
-    if name in nodes.INTENTION_REAL:
+    if name in THRESHOLDS:
         return threshold_prior_masses(priors, disc, name)
-    if name in nodes.INTENTION_BINARY:
-        p = getattr(
-            priors,
-            {
-                "colregs_compliant": "colregs_compliant",
-                "good_seamanship": "good_seamanship",
-                "ground_intent": "ground_intent",
-                "unmodeled": "unmodeled",
-            }[name],
-        )
+    if name in INTENTION_BINARY:
+        p = getattr(priors, name)
         return np.array((1.0 - p, p))
     if name.startswith("priority_"):
         return np.asarray(priors.priority, dtype=float)
@@ -123,12 +103,11 @@ def build_intention_dbn(
         net.add_prior(boolean(carry), (0.5, 0.5))
 
     specs = nodes.model_node_specs(n_ships)
-    meas_bases = nodes.measurement_ids(n_ships)
+    meas_vars = measurement_variables(n_ships, disc)
     intention_set = set(nodes.intention_ids(n_ships))
     for k in range(slices):
-        for base in meas_bases:
-            var = _measurement_variable(base, disc)
-            slice_var = Variable(at(base, k), var.states)
+        for var in meas_vars:
+            slice_var = Variable(at(var.id, k), var.states)
             net.add_prior(slice_var, np.full(var.cardinality, 1.0 / var.cardinality))
         for spec in specs:
             parent_ids = []

@@ -16,9 +16,12 @@ OR the current course-change state with their previous-slice value, and slice
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from .bn import BOOL_STATES
+from .discretize import INTENTION_BINARY, THRESHOLDS
 from .geometry import Side, Situation, SpeedTrend, Trend, Turn
 
 # State tuples (index order is part of the network contract).
@@ -36,15 +39,30 @@ DECREASING, INCREASING, NEITHER = 0, 1, 2
 OVERTAKING, OVERTAKEN, HEAD_ON, CROSSING_PORT, CROSSING_STARBOARD = range(5)
 PRI_HIGHER, PRI_SIMILAR, PRI_LOWER = range(3)
 
-INTENTION_REAL = (
-    "safe_cpa",
-    "safe_front_cross",
-    "safe_midpoint",
-    "ample_time",
-    "safe_ground_side",
-    "safe_ground_front",
-)
-INTENTION_BINARY = ("colregs_compliant", "good_seamanship", "ground_intent", "unmodeled")
+# Measurement roots by slice-local base (per-ship ones get the ``_<i>``
+# suffix) and their state labels; None marks a distance binned on the channel
+# that ``discretize.CHANNEL_REGISTRY`` pairs with it.
+SHARED_MEASUREMENTS: dict[str, tuple[str, ...] | None] = {
+    "meas_course_change": TURN_STATES,
+    "meas_speed_change": SPEED_STATES,
+    "meas_course_changing": BOOL_STATES,
+    "meas_ground_sb": None,
+    "meas_ground_ps": None,
+    "meas_ground_front": None,
+    "meas_wp_bearing": TREND_STATES,
+    "meas_wp_distance": TREND_STATES,
+    "meas_wp_ahead": BOOL_STATES,
+}
+SHIP_MEASUREMENTS: dict[str, tuple[str, ...] | None] = {
+    "meas_dcpa": None,
+    "meas_front_cross": None,
+    "meas_midpoint_dist": None,
+    "meas_tcpa": None,
+    "meas_passed": BOOL_STATES,
+    "meas_pass_side": SIDE_STATES,
+    "meas_midpoint_side": SIDE_STATES,
+    "meas_situation": SITUATION_STATES,
+}
 
 
 def ship(base: str, i: int) -> str:
@@ -56,36 +74,22 @@ def at(node: str, k: int) -> str:
 
 
 def intention_ids(n_ships: int) -> list[str]:
-    ids = list(INTENTION_REAL) + list(INTENTION_BINARY)
+    ids = list(THRESHOLDS) + list(INTENTION_BINARY)
     for i in range(1, n_ships + 1):
         ids += [ship("priority", i), ship("situation_view", i)]
     return ids
 
 
-def measurement_ids(n_ships: int) -> list[str]:
-    ids = [
-        "meas_course_change",
-        "meas_speed_change",
-        "meas_course_changing",
-        "meas_ground_sb",
-        "meas_ground_ps",
-        "meas_ground_front",
-        "meas_wp_bearing",
-        "meas_wp_distance",
-        "meas_wp_ahead",
-    ]
+def measurement_bases(n_ships: int) -> dict[str, str]:
+    """Slice-local id -> base of every measurement root, shared ones first."""
+    out = {base: base for base in SHARED_MEASUREMENTS}
     for i in range(1, n_ships + 1):
-        ids += [
-            ship("meas_dcpa", i),
-            ship("meas_front_cross", i),
-            ship("meas_midpoint_dist", i),
-            ship("meas_tcpa", i),
-            ship("meas_passed", i),
-            ship("meas_pass_side", i),
-            ship("meas_midpoint_side", i),
-            ship("meas_situation", i),
-        ]
-    return ids
+        out.update({ship(base, i): base for base in SHIP_MEASUREMENTS})
+    return out
+
+
+def measurement_ids(n_ships: int) -> list[str]:
+    return list(measurement_bases(n_ships))
 
 
 @dataclass(frozen=True)
@@ -107,8 +111,13 @@ def model_node_truth(spec: ModelNodeSpec, assignment: Mapping[str, int]) -> bool
     return bool(spec.predicate(*states))
 
 
-def model_node_specs(n_ships: int) -> list[ModelNodeSpec]:
-    """Registry of every model node for one time slice, dependency-ordered."""
+@functools.lru_cache(maxsize=None)
+def model_node_specs(n_ships: int) -> tuple[ModelNodeSpec, ...]:
+    """Registry of every model node for one time slice, dependency-ordered.
+
+    The specs of a ship count are built once and shared, so the truth
+    tables compiled from their predicates are compiled once too.
+    """
     if n_ships < 1:
         raise ValueError("the network needs at least one obstacle ship")
     specs: list[ModelNodeSpec] = []
@@ -333,19 +342,7 @@ def model_node_specs(n_ships: int) -> list[ModelNodeSpec]:
         return all(s == TRUE for s in states[:-1]) or states[-1] == TRUE
 
     specs.append(ModelNodeSpec("compatible", compat_parents, compatible))
-    return specs
-
-
-# Which measurement node pairs with which discretization channel.
-MEASUREMENT_CHANNELS = {
-    "meas_dcpa": "cpa",
-    "meas_front_cross": "front_cross",
-    "meas_midpoint_dist": "midpoint",
-    "meas_tcpa": "time_to_cpa",
-    "meas_ground_sb": "ground_side",
-    "meas_ground_ps": "ground_side",
-    "meas_ground_front": "ground_front",
-}
+    return tuple(specs)
 
 
 @dataclass(frozen=True)

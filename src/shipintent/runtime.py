@@ -27,8 +27,9 @@ the model instead:
 
 Posterior masses combine the three branches (``unmodeled``; modelled with
 ground intent; modelled without) in closed form.  The per-node truth tables
-are built straight from the model registry, so this path and the monolithic
-network can never disagree about the logic.
+come from :func:`~shipintent.bn.truth_table`, the one compiler that also
+generates the monolithic network's predicate CPTs, so the two routes read
+the same tables and cannot disagree about the logic.
 
 Scoring candidate maneuvers clones the current belief into a detached
 single-slice view: the step posteriors enter as virtual evidence on the
@@ -60,7 +61,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
@@ -69,8 +69,8 @@ from typing import Protocol
 import numpy as np
 
 from . import nodes
-from .bn import ContradictionError
-from .discretize import Discretization, IntentionPriors, real_to_bin
+from .bn import ContradictionError, truth_table
+from .discretize import THRESHOLDS, Discretization, IntentionPriors, real_to_bin
 from .geometry import (
     GeometryParams,
     PolygonMap,
@@ -90,7 +90,7 @@ from .geometry import (
     passing_side,
     waypoint_measurements,
 )
-from .netbuild import _measurement_variable, intention_prior_vector
+from .netbuild import intention_prior_vector, measurement_variables
 from .nodes import MeasurementVector, ShipMeasurements, ship
 
 __all__ = [
@@ -278,7 +278,6 @@ class _Layout:
         situations: Sequence | None,
     ) -> None:
         self.n_ships = n_ships
-        self.disc = disc
         self.prior_vec: dict[str, np.ndarray] = {
             name: np.asarray(intention_prior_vector(name, priors, disc, situations), dtype=float)
             for name in nodes.intention_ids(n_ships)
@@ -288,7 +287,7 @@ class _Layout:
         # spans safe_cpa, safe_front_cross and safe_midpoint, and keeping those
         # innermost gives numpy long contiguous runs when it broadcasts.
         self.f_roots = tuple(
-            sorted(roots, key=lambda r: (r in nodes.INTENTION_REAL, r != "ample_time"))
+            sorted(roots, key=lambda r: (r in THRESHOLDS, r != "ample_time"))
         )
         self.cards = tuple(len(self.prior_vec[r]) for r in self.f_roots)
         rank = len(self.f_roots)
@@ -296,25 +295,17 @@ class _Layout:
             r: np.arange(card, dtype=np.uint8).reshape((1,) * j + (-1,) + (1,) * (rank - 1 - j))
             for j, (r, card) in enumerate(zip(self.f_roots, self.cards))
         }
-        split = sum(r not in nodes.INTENTION_REAL for r in self.f_roots)
+        split = sum(r not in THRESHOLDS for r in self.f_roots)
         self.prior = _Product([self.prior_vec[r] for r in self.f_roots], split)
 
         self.specs = nodes.model_node_specs(n_ships)
-        spec_ids = {s.node_id for s in self.specs}
-        self.tables: dict[str, np.ndarray] = {}
-        for spec in self.specs:
-            cards = tuple(self._parent_card(p, spec_ids) for p in spec.parents)
-            table = np.empty(cards, dtype=bool)
-            for combo in itertools.product(*(range(c) for c in cards)):
-                table[combo] = spec.predicate(*combo)
-            self.tables[spec.node_id] = table
-
-    def _parent_card(self, parent: str, spec_ids: set[str]) -> int:
-        if parent in self.prior_vec:
-            return len(self.prior_vec[parent])
-        if parent.endswith("_prev") or parent in spec_ids:
-            return 2
-        return _measurement_variable(parent, self.disc).cardinality
+        cards = {v.id: v.cardinality for v in measurement_variables(n_ships, disc)}
+        cards.update((r, len(vec)) for r, vec in self.prior_vec.items())
+        # Every other parent is a model node or a latch carry: boolean.
+        self.tables = {
+            spec.node_id: truth_table(spec.predicate, tuple(cards.get(p, 2) for p in spec.parents))
+            for spec in self.specs
+        }
 
 
 def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
@@ -604,10 +595,10 @@ class Session:
         front = cross_front_distance(ref, obs)
         mid_dist, mid_side = midpoint_cpa(ref, obs)
         return ShipMeasurements(
-            dcpa_bin=real_to_bin(dcpa, self.disc.cpa),
-            front_cross_bin=real_to_bin(front, self.disc.front_cross),
-            midpoint_bin=real_to_bin(mid_dist, self.disc.midpoint),
-            tcpa_bin=real_to_bin(tcpa, self.disc.time_to_cpa),
+            dcpa_bin=real_to_bin(dcpa, self.disc.channel("meas_dcpa")),
+            front_cross_bin=real_to_bin(front, self.disc.channel("meas_front_cross")),
+            midpoint_bin=real_to_bin(mid_dist, self.disc.channel("meas_midpoint_dist")),
+            tcpa_bin=real_to_bin(tcpa, self.disc.channel("meas_tcpa")),
             passed=has_passed(ref, obs),
             pass_side=passing_side(ref, obs),
             midpoint_side=mid_side,
@@ -620,9 +611,9 @@ class Session:
         else:
             sb, ps, fr = grounding_measurements(state, self.hazard, self.geom)
         return (
-            real_to_bin(sb, self.disc.ground_side),
-            real_to_bin(ps, self.disc.ground_side),
-            real_to_bin(fr, self.disc.ground_front),
+            real_to_bin(sb, self.disc.channel("meas_ground_sb")),
+            real_to_bin(ps, self.disc.channel("meas_ground_ps")),
+            real_to_bin(fr, self.disc.channel("meas_ground_front")),
         )
 
     def _measure(

@@ -77,10 +77,6 @@ class CandidateTrajectory:
             raise ValueError("candidate trajectory needs at least one state")
 
     @property
-    def offset_deg(self) -> float:
-        return math.degrees(self.offset)
-
-    @property
     def t_start(self) -> float:
         return self.states[0].t
 

@@ -8,46 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from shipintent.bn import Factor, Network, binned, set_evidence, set_virtual_evidence
+from shipintent.bn import random_network  # noqa: F401  (re-exported for the tests)
 from shipintent.dataio import math_to_compass
 from shipintent.extract import Encounter
 from shipintent.geometry import ShipState, local_to_geo
-
-
-def random_network(
-    rng: np.random.Generator,
-    max_vars: int = 8,
-    max_card: int = 4,
-    joint_cap: int | None = None,
-) -> tuple[Network, list[str]]:
-    """A random DAG with random CPTs plus random hard and virtual evidence.
-
-    Returns the network and the ids of the non-hard-evidence variables
-    (valid query targets).
-    """
-    while True:
-        n = int(rng.integers(3, max_vars + 1))
-        cards = rng.integers(2, max_card + 1, size=n)
-        if joint_cap is None or int(np.prod(cards.astype(np.int64))) <= joint_cap:
-            break
-    net = Network()
-    variables = []
-    for i in range(n):
-        var = binned(f"v{i}", int(cards[i]))
-        n_parents = min(i, int(rng.integers(0, 4)))
-        picked = rng.choice(i, size=n_parents, replace=False) if n_parents else []
-        parents = [variables[int(j)] for j in sorted(picked)]
-        table = rng.random([p.cardinality for p in parents] + [var.cardinality]) + 0.05
-        table /= table.sum(axis=-1, keepdims=True)
-        net.add_variable(var)
-        net.add_cpt(Factor.cpt(var, parents, table))
-        variables.append(var)
-    hard_idx, soft_idx = (int(j) for j in rng.choice(n, size=2, replace=False))
-    hard = variables[hard_idx]
-    set_evidence(net, hard.id, int(rng.integers(hard.cardinality)))
-    soft = variables[soft_idx]
-    set_virtual_evidence(net, soft.id, 0.1 + 0.9 * rng.random(soft.cardinality))
-    return net, [v.id for v in variables if v.id != hard.id]
 
 
 def straight_track(

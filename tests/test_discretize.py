@@ -198,6 +198,38 @@ def test_intention_priors_validation():
         IntentionPriors(situation_concentration=0.0)
 
 
+def test_negative_priority_entry_is_rejected():
+    # sums to 1, but would give a priority marginal outside [0, 1]
+    with pytest.raises(DiscretizationError, match="priority entries"):
+        IntentionPriors(priority=(1.5, -0.5, 0.0))
+
+
+def test_nan_priority_entry_is_rejected():
+    # abs(nan - 1) > 1e-9 is false, so the sum check alone lets this through
+    with pytest.raises(DiscretizationError, match="priority entries"):
+        IntentionPriors(priority=(math.nan, 0.5, 0.5))
+
+
+def test_truncnorm_rejects_nan_mean():
+    with pytest.raises(DiscretizationError, match="finite"):
+        TruncNorm(math.nan, 100.0, 0.0, 1500.0)
+
+
+def test_truncnorm_rejects_infinite_sigma():
+    with pytest.raises(DiscretizationError, match="finite"):
+        TruncNorm(800.0, math.inf, 0.0, 1500.0)
+
+
+def test_channel_rejects_nan_upper():
+    with pytest.raises(DiscretizationError, match="finite"):
+        Channel(math.nan)
+
+
+def test_channel_rejects_infinite_upper():
+    with pytest.raises(DiscretizationError, match="finite"):
+        Channel(math.inf)
+
+
 def test_situation_prior_anchors_measured_state():
     vec = situation_prior(2)
     np.testing.assert_allclose(vec, [0.02, 0.02, 0.92, 0.02, 0.02])
