@@ -166,9 +166,9 @@ class IntentionPriors:
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
                 raise DiscretizationError(f"{name} must be a probability, got {p}")
-        if not all(math.isfinite(p) and p >= 0.0 for p in self.priority):
+        if len(self.priority) != 3 or not all(math.isfinite(p) and p >= 0.0 for p in self.priority):
             raise DiscretizationError(
-                f"priority entries must be finite and >= 0, got {self.priority}"
+                f"priority needs three finite entries >= 0, got {self.priority}"
             )
         if abs(sum(self.priority) - 1.0) > 1e-9:
             raise DiscretizationError("priority distribution must sum to 1")

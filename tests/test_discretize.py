@@ -200,14 +200,20 @@ def test_intention_priors_validation():
 
 def test_negative_priority_entry_is_rejected():
     # sums to 1, but would give a priority marginal outside [0, 1]
-    with pytest.raises(DiscretizationError, match="priority entries"):
+    with pytest.raises(DiscretizationError, match="priority needs three finite entries"):
         IntentionPriors(priority=(1.5, -0.5, 0.0))
 
 
 def test_nan_priority_entry_is_rejected():
     # abs(nan - 1) > 1e-9 is false, so the sum check alone lets this through
-    with pytest.raises(DiscretizationError, match="priority entries"):
+    with pytest.raises(DiscretizationError, match="priority needs three finite entries"):
         IntentionPriors(priority=(math.nan, 0.5, 0.5))
+
+
+def test_priority_needs_one_entry_per_state():
+    # a two-entry priority would give a three-state node a two-state prior
+    with pytest.raises(DiscretizationError, match="priority needs three finite entries"):
+        IntentionPriors(priority=(0.5, 0.5))
 
 
 def test_truncnorm_rejects_nan_mean():
