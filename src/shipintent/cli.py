@@ -115,18 +115,6 @@ def _pick_encounter(
     return encounters[0]
 
 
-def _aligned_pairs(enc: Encounter) -> list[tuple[ShipState, ShipState]]:
-    """Match reference and obstacle samples that share a timestamp."""
-    by_t = {obs.t: obs for obs in enc.obstacle}
-    pairs = [(own, by_t[own.t]) for own in enc.reference if own.t in by_t]
-    if len(pairs) < 2:
-        raise DataError(
-            f"encounter {enc.name!r}: the vessels share only {len(pairs)}"
-            " timestamps; replay needs synchronized samples"
-        )
-    return pairs
-
-
 def _parse_waypoint(
     raw: str | None, origin: tuple[float, float] | None
 ) -> Waypoint | None:
@@ -230,7 +218,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     hazard = _project_map(base_map, enc.origin, cfg.map_densify_spacing)
     waypoint = _parse_waypoint(args.waypoint, enc.origin)
 
-    pairs = _aligned_pairs(enc)
+    pairs = enc.pairs
     session = _open_session(pairs, cfg, hazard=hazard, waypoint=waypoint)
     records = [RunRecord(session.last_record, _score_fan(session, cfg))]
     for own, obstacle in pairs[1:]:
@@ -264,7 +252,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     enc = _pick_encounter(encounters, args.encounter_id, args.encounter)
     waypoint = _parse_waypoint(args.waypoint, enc.origin)
 
-    pairs = _aligned_pairs(enc)
+    pairs = enc.pairs
     if args.at < 0.0:
         raise DataError(f"--at {args.at:g} is before the first sample")
     cutoff = pairs[0][0].t + args.at

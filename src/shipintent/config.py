@@ -33,6 +33,7 @@ from .discretize import (
     IntentionPriors,
     TruncNorm,
 )
+from .extract import DEFAULT_GROUND_THRESHOLD
 from .geometry import GeometryParams
 from .runtime import SlicePolicy
 from .trajgen import LosParams
@@ -65,7 +66,7 @@ class RunConfig:
     slice_policy: SlicePolicy = SlicePolicy()
     trajectories: LosParams = LosParams()
     lookahead: float = 60.0
-    ground_threshold: float = 2000.0
+    ground_threshold: float = DEFAULT_GROUND_THRESHOLD
     map_densify_spacing: float | None = None
     export_format: str = "csv"
 

@@ -11,16 +11,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .extract import COLREGS_LABELS, Encounter, ExtractionError
-from .geometry import PolygonMap, ShipState, norm_course, project_local
+from .geometry import PolygonMap, ShipState, local_frame, norm_course, project_local
 from .runtime import ScoreResult, StepRecord
 
 __all__ = [
@@ -278,7 +277,7 @@ def load_map_geojson(
             np.array([project_local(lat, lon, origin) for lat, lon in ring])
             for ring in geo_rings
         ),
-        crs=f"local-equirect({origin[0]:.8f},{origin[1]:.8f})",
+        crs=local_frame(origin),
         geo_rings=tuple(geo_rings),
     )
 
@@ -295,44 +294,20 @@ class RunRecord:
     scores: ScoreResult | None = None
 
 
-def _ship_indices(node_probs: Mapping[str, float]) -> list[int]:
-    return sorted(
-        int(m.group(1))
-        for key in node_probs
-        if (m := re.fullmatch(r"colav_ok_(\d+)", key))
-    )
-
-
-def run_columns(records: Sequence[RunRecord]) -> list[str]:
-    """The stable column order for an export, derived from the first record."""
-    if not records:
-        return ["timestamp"]
-    first = records[0]
-    cols = ["timestamp", "p_ground_safe_front", "p_ground_safe_side"]
-    for i in _ship_indices(first.step.node_probs):
-        cols += [f"p_nav_maneuver_ok_{i}", f"p_colav_ok_{i}"]
-    cols.append("p_compatible")
-    for node, probs in first.step.posterior.marginals.items():
-        cols += [f"post_{node}_{k}" for k in range(len(probs))]
-    if first.scores is not None:
-        cols += [f"cand_{s.label}" for s in first.scores.scores]
-        cols.append("all_incompatible")
-    return cols
-
-
-def _record_values(rec: RunRecord, columns: Sequence[str]) -> dict[str, float]:
+def _record_values(rec: RunRecord) -> dict[str, float]:
+    """One step's export values, keyed by column in export order."""
     step = rec.step
     out: dict[str, float] = {
         "timestamp": step.t,
         "p_ground_safe_front": step.node_probs["ground_safe_front"],
         "p_ground_safe_side": step.node_probs["ground_safe_side"],
-        # the live slice is conditioned on overall compatibility, so its
-        # posterior probability is 1 by construction
-        "p_compatible": 1.0,
     }
-    for i in _ship_indices(step.node_probs):
+    for i in range(1, len(step.measurements.ships) + 1):
         out[f"p_nav_maneuver_ok_{i}"] = step.node_probs[f"nav_maneuver_ok_{i}"]
         out[f"p_colav_ok_{i}"] = step.node_probs[f"colav_ok_{i}"]
+    # the live slice is conditioned on overall compatibility, so its
+    # posterior probability is 1 by construction
+    out["p_compatible"] = 1.0
     for node, probs in step.posterior.marginals.items():
         for k, p in enumerate(probs):
             out[f"post_{node}_{k}"] = p
@@ -340,12 +315,24 @@ def _record_values(rec: RunRecord, columns: Sequence[str]) -> dict[str, float]:
         for s in rec.scores.scores:
             out[f"cand_{s.label}"] = s.score
         out["all_incompatible"] = float(rec.scores.all_incompatible)
-    if set(out) != set(columns):
-        raise DataError(
-            "records disagree on shape; all steps must share ships, intention "
-            "nodes, and candidate labels"
-        )
     return out
+
+
+def run_columns(records: Sequence[RunRecord]) -> list[str]:
+    """The stable column order for an export, derived from the first record."""
+    return list(_record_values(records[0])) if records else ["timestamp"]
+
+
+def _rows(records: Sequence[RunRecord], columns: Sequence[str]) -> Iterator[dict[str, float]]:
+    """Each record's values, checked against the export's columns."""
+    for rec in records:
+        vals = _record_values(rec)
+        if set(vals) != set(columns):
+            raise DataError(
+                "records disagree on shape; all steps must share ships, intention "
+                "nodes, and candidate labels"
+            )
+        yield vals
 
 
 def export_run(
@@ -361,13 +348,11 @@ def export_run(
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(columns)
-            for rec in records:
-                vals = _record_values(rec, columns)
+            for vals in _rows(records, columns):
                 writer.writerow(f"{vals[c]:.12g}" for c in columns)
     elif format == "jsonl":
         with open(path, "w") as fh:
-            for rec in records:
-                vals = _record_values(rec, columns)
+            for vals in _rows(records, columns):
                 fh.write(json.dumps({c: vals[c] for c in columns}) + "\n")
     else:
         raise ValueError(f"format must be csv or jsonl, got {format!r}")

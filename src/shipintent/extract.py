@@ -13,17 +13,19 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .discretize import Discretization, IntentionPriors, TruncNorm
 from .geometry import (
+    FRONT_HALF_ANGLE,
     GeometryParams,
     PolygonMap,
     ShipState,
     grounding_measurements,
+    local_frame,
     segment_cpa,
 )
 
@@ -56,8 +58,6 @@ ROI_HALF_WIDTH = 10_000.0
 #: constrain the encounter" and contribute no sample.
 DEFAULT_GROUND_THRESHOLD = 2_000.0
 
-_FRONT_GATE_HALF_ANGLE = math.pi / 8.0
-
 
 class ExtractionError(ValueError):
     """Invalid encounter data or an impossible fit request."""
@@ -72,7 +72,9 @@ class Encounter:
     """One reference/obstacle vessel pair with a COLREGS situation label.
 
     ``origin`` records the lat/lon the planar coordinates were projected
-    about, when the encounter came from geographic data.
+    about, when the encounter came from geographic data.  ``pairs`` holds
+    the (reference, obstacle) fixes that share a timestamp; every pass that
+    compares the two vessels reads them, and an encounter needs at least two.
     """
 
     reference: tuple[ShipState, ...]
@@ -80,6 +82,9 @@ class Encounter:
     label: str | None = None
     name: str = ""
     origin: tuple[float, float] | None = None
+    pairs: tuple[tuple[ShipState, ShipState], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reference", tuple(self.reference))
@@ -101,6 +106,14 @@ class Encounter:
             raise ExtractionError(
                 f"encounter {self.name!r}: trajectories never overlap in time"
             )
+        by_t = {obs.t: obs for obs in self.obstacle}
+        pairs = tuple((ref, by_t[ref.t]) for ref in self.reference if ref.t in by_t)
+        if len(pairs) < 2:
+            raise ExtractionError(
+                f"encounter {self.name!r}: the vessels share only {len(pairs)}"
+                " timestamps, need >= 2"
+            )
+        object.__setattr__(self, "pairs", pairs)
         if self.label is not None and self.label not in COLREGS_LABELS:
             raise ExtractionError(
                 f"encounter {self.name!r}: label must be one of {COLREGS_LABELS}, "
@@ -112,23 +125,15 @@ class Encounter:
         return self.reference[-1].t - self.reference[0].t
 
 
-def _paired_states(enc: Encounter) -> Iterable[tuple[ShipState, ShipState]]:
-    """Sample-index-aligned (reference, obstacle) state pairs."""
-    return zip(enc.reference, enc.obstacle)
-
-
-def find_isdf_vals(
-    encounters: Iterable[Encounter], params: GeometryParams = GeometryParams()
-) -> list[float]:
+def find_isdf_vals(encounters: Iterable[Encounter]) -> list[float]:
     """Per crossing encounter, the closest the obstacle ever got while inside
     the reference ship's front cone.
 
     The gate is the normalized dot product of the reference heading and the
-    relative position exceeding cos(pi/8), i.e. the obstacle bearing within
-    22.5 degrees of dead ahead.  Encounters where the obstacle never enters
-    the cone contribute nothing.
+    relative position exceeding cos(FRONT_HALF_ANGLE), i.e. the obstacle
+    bearing within 22.5 degrees of dead ahead.  Encounters where the obstacle
+    never enters the cone contribute nothing.
     """
-    del params  # the front gate is a fixed 45-degree cone
     vals: list[float] = []
     for enc in encounters:
         if enc.label != "crossing":
@@ -137,12 +142,12 @@ def find_isdf_vals(
                 f"defined for crossing encounters, got label {enc.label!r}"
             )
         best = math.inf
-        for ref, obs in _paired_states(enc):
+        for ref, obs in enc.pairs:
             rel = obs.position - ref.position
             dist = float(np.hypot(*rel))
             if dist <= 0.0:
                 continue
-            if float(ref.heading @ rel) / dist > math.cos(_FRONT_GATE_HALF_ANGLE):
+            if float(ref.heading @ rel) / dist > math.cos(FRONT_HALF_ANGLE):
                 best = min(best, dist)
         if math.isfinite(best):
             vals.append(best)
@@ -160,15 +165,8 @@ def find_cpa(encounters: Iterable[Encounter]) -> tuple[list[float], list[float]]
     dcpa_vals: list[float] = []
     tcpa_vals: list[float] = []
     for enc in encounters:
-        if len(enc.reference) < 2 or len(enc.obstacle) < 2:
-            warnings.warn(
-                f"encounter {enc.name!r}: fewer than 2 samples, skipping",
-                ExtractionWarning,
-                stacklevel=2,
-            )
-            continue
         t0 = enc.reference[0].t
-        pairs = list(_paired_states(enc))
+        pairs = enc.pairs
         min_dist = math.inf
         dcpa = math.inf
         tcpa = math.inf
@@ -198,12 +196,12 @@ def _cpa_reference_state(enc: Encounter) -> ShipState:
     """Reference-ship state at the sampled minimum-distance timestep."""
     best = None
     best_dist = math.inf
-    for ref, obs in _paired_states(enc):
+    for ref, obs in enc.pairs:
         dist = float(np.hypot(*(obs.position - ref.position)))
         if dist < best_dist:
             best_dist = dist
             best = ref
-    assert best is not None  # encounters are non-empty by construction
+    assert best is not None  # encounters hold >= 2 pairs by construction
     return best
 
 
@@ -231,18 +229,23 @@ def find_dist2grd_cpa(
 ) -> tuple[list[float], list[float]]:
     """Hazard clearances at each encounter's closest-approach state.
 
-    The map is clipped to a 10 km square region of interest around the
-    reference ship's closest-approach position, then the nearest hazard vertex
-    is found in the starboard, port, and front sectors of the ship domain.
-    min(starboard, port) feeds the side list, front feeds the front list, and
-    either only counts when at or below ``dist_thresh`` so open-water
-    encounters don't masquerade as tight clearances.
+    A map that carries geographic rings is measured in each encounter's own
+    frame: it is re-projected about the encounter's origin unless it is
+    already in that frame.  The map is clipped to a 10 km square region of
+    interest around the reference ship's closest-approach position, then the
+    nearest hazard vertex is found in the starboard, port, and front sectors
+    of the ship domain.  min(starboard, port) feeds the side list, front feeds
+    the front list, and either only counts when at or below ``dist_thresh`` so
+    open-water encounters don't masquerade as tight clearances.
     """
     sdgs_vals: list[float] = []
     sdgf_vals: list[float] = []
     for enc in encounters:
         state = _cpa_reference_state(enc)
-        roi = _clip_roi(pmap, state.x, state.y, ROI_HALF_WIDTH)
+        emap = pmap
+        if enc.origin is not None and pmap.geo_rings and pmap.crs != local_frame(enc.origin):
+            emap = pmap.to_origin(enc.origin)
+        roi = _clip_roi(emap, state.x, state.y, ROI_HALF_WIDTH)
         if roi.is_empty:
             continue
         sb, ps, fr = grounding_measurements(state, roi, params)
@@ -363,7 +366,7 @@ def collect_samples(
     dcpa_all, tcpa_all = find_cpa(encounters)
     sdgs, sdgf = find_dist2grd_cpa(encounters, pmap, dist_thresh, params)
     return {
-        "safe_front_cross": find_isdf_vals(by_label["crossing"], params),
+        "safe_front_cross": find_isdf_vals(by_label["crossing"]),
         "safe_cpa": dcpa_overtaking,
         "safe_midpoint": [d / 2.0 for d in dcpa_head_on],
         "ample_time": tcpa_all,

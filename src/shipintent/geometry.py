@@ -83,6 +83,11 @@ def cross2(a: np.ndarray, b: np.ndarray) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
+def local_frame(origin: tuple[float, float]) -> str:
+    """Name of the east/north frame projected about a lat/lon ``origin``."""
+    return f"local-equirect({origin[0]:.8f},{origin[1]:.8f})"
+
+
 def project_local(lat: float, lon: float, origin: tuple[float, float]) -> tuple[float, float]:
     """Equirectangular degrees -> east/north meters about ``origin``."""
     lat0, lon0 = origin
@@ -186,7 +191,7 @@ class PolygonMap:
             rings.append(np.asarray(pts))
         return PolygonMap(
             rings=tuple(rings),
-            crs=f"local-equirect({origin[0]:.8f},{origin[1]:.8f})",
+            crs=local_frame(origin),
             geo_rings=self.geo_rings,
         )
 
@@ -421,6 +426,26 @@ def waypoint_measurements(
     return wprb, wprd, ahead
 
 
+def classify_turn(course: float, reference: float, threshold: float) -> Turn:
+    """Turn from ``reference`` to ``course``; within ``threshold`` is straight."""
+    delta = angle_diff(course, reference)
+    if delta < -threshold:
+        return Turn.STARBOARD
+    if delta > threshold:
+        return Turn.PORT
+    return Turn.STRAIGHT
+
+
+def classify_speed(sog: float, reference: float, threshold: float) -> SpeedTrend:
+    """Speed change from ``reference`` to ``sog``; within ``threshold`` is none."""
+    delta = sog - reference
+    if delta > threshold:
+        return SpeedTrend.HIGHER
+    if delta < -threshold:
+        return SpeedTrend.LOWER
+    return SpeedTrend.NONE
+
+
 def course_speed_changes(
     history: Sequence[ShipState],
     params: GeometryParams = GeometryParams(),
@@ -434,20 +459,9 @@ def course_speed_changes(
     if not history:
         raise ValueError("history must contain at least the current state")
     start, now = history[0], history[-1]
-    dchi = angle_diff(now.cog, start.cog)
-    if dchi < -params.course_change_threshold:
-        cic = Turn.STARBOARD
-    elif dchi > params.course_change_threshold:
-        cic = Turn.PORT
-    else:
-        cic = Turn.STRAIGHT
-    dsog = now.sog - start.sog
-    if dsog > params.speed_change_threshold:
-        cis = SpeedTrend.HIGHER
-    elif dsog < -params.speed_change_threshold:
-        cis = SpeedTrend.LOWER
-    else:
-        cis = SpeedTrend.NONE
     recent = _state_at_or_before(history, now.t - params.course_changing_window) or start
-    ccc = abs(angle_diff(now.cog, recent.cog)) > params.course_change_threshold
-    return cic, cis, ccc
+    return (
+        classify_turn(now.cog, start.cog, params.course_change_threshold),
+        classify_speed(now.sog, start.sog, params.speed_change_threshold),
+        abs(angle_diff(now.cog, recent.cog)) > params.course_change_threshold,
+    )

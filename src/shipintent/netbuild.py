@@ -44,13 +44,14 @@ def intention_variables(n_ships: int, disc: Discretization) -> list[Variable]:
 
 def measurement_variables(n_ships: int, disc: Discretization) -> list[Variable]:
     """Every slice-local measurement root, in network order."""
-    labels = {**nodes.SHARED_MEASUREMENTS, **nodes.SHIP_MEASUREMENTS}
+    table = {**nodes.SHARED_MEASUREMENTS, **nodes.SHIP_MEASUREMENTS}
     out = []
     for node, base in nodes.measurement_bases(n_ships).items():
-        if labels[base] is None:
+        _, labels = table[base]
+        if labels is None:
             out.append(binned(node, disc.channel(base).bins))
         else:
-            out.append(Variable(node, labels[base]))
+            out.append(Variable(node, labels))
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
+from enum import Enum
 
 from .bn import BOOL_STATES
 from .discretize import INTENTION_BINARY, THRESHOLDS
@@ -40,28 +41,30 @@ OVERTAKING, OVERTAKEN, HEAD_ON, CROSSING_PORT, CROSSING_STARBOARD = range(5)
 PRI_HIGHER, PRI_SIMILAR, PRI_LOWER = range(3)
 
 # Measurement roots by slice-local base (per-ship ones get the ``_<i>``
-# suffix) and their state labels; None marks a distance binned on the channel
-# that ``discretize.CHANNEL_REGISTRY`` pairs with it.
-SHARED_MEASUREMENTS: dict[str, tuple[str, ...] | None] = {
-    "meas_course_change": TURN_STATES,
-    "meas_speed_change": SPEED_STATES,
-    "meas_course_changing": BOOL_STATES,
-    "meas_ground_sb": None,
-    "meas_ground_ps": None,
-    "meas_ground_front": None,
-    "meas_wp_bearing": TREND_STATES,
-    "meas_wp_distance": TREND_STATES,
-    "meas_wp_ahead": BOOL_STATES,
+# suffix): the :class:`MeasurementVector` (shared) or :class:`ShipMeasurements`
+# (per-ship) attribute each one reads, and its state labels; None marks a
+# distance binned on the channel that ``discretize.CHANNEL_REGISTRY`` pairs
+# with it.
+SHARED_MEASUREMENTS: dict[str, tuple[str, tuple[str, ...] | None]] = {
+    "meas_course_change": ("course_change", TURN_STATES),
+    "meas_speed_change": ("speed_change", SPEED_STATES),
+    "meas_course_changing": ("course_changing", BOOL_STATES),
+    "meas_ground_sb": ("ground_sb_bin", None),
+    "meas_ground_ps": ("ground_ps_bin", None),
+    "meas_ground_front": ("ground_front_bin", None),
+    "meas_wp_bearing": ("wp_bearing", TREND_STATES),
+    "meas_wp_distance": ("wp_distance", TREND_STATES),
+    "meas_wp_ahead": ("wp_ahead", BOOL_STATES),
 }
-SHIP_MEASUREMENTS: dict[str, tuple[str, ...] | None] = {
-    "meas_dcpa": None,
-    "meas_front_cross": None,
-    "meas_midpoint_dist": None,
-    "meas_tcpa": None,
-    "meas_passed": BOOL_STATES,
-    "meas_pass_side": SIDE_STATES,
-    "meas_midpoint_side": SIDE_STATES,
-    "meas_situation": SITUATION_STATES,
+SHIP_MEASUREMENTS: dict[str, tuple[str, tuple[str, ...] | None]] = {
+    "meas_dcpa": ("dcpa_bin", None),
+    "meas_front_cross": ("front_cross_bin", None),
+    "meas_midpoint_dist": ("midpoint_bin", None),
+    "meas_tcpa": ("tcpa_bin", None),
+    "meas_passed": ("passed", BOOL_STATES),
+    "meas_pass_side": ("pass_side", SIDE_STATES),
+    "meas_midpoint_side": ("midpoint_side", SIDE_STATES),
+    "meas_situation": ("situation", SITUATION_STATES),
 }
 
 
@@ -377,23 +380,15 @@ class MeasurementVector:
     def as_states(self) -> dict[str, int]:
         """Slice-local node id -> state index, for every measurement node."""
         out = {
-            "meas_course_change": TURN_STATES.index(self.course_change.value),
-            "meas_speed_change": SPEED_STATES.index(self.speed_change.value),
-            "meas_course_changing": int(self.course_changing),
-            "meas_ground_sb": self.ground_sb_bin,
-            "meas_ground_ps": self.ground_ps_bin,
-            "meas_ground_front": self.ground_front_bin,
-            "meas_wp_bearing": TREND_STATES.index(self.wp_bearing.value),
-            "meas_wp_distance": TREND_STATES.index(self.wp_distance.value),
-            "meas_wp_ahead": int(self.wp_ahead),
+            node: _state_index(getattr(self, attr), labels)
+            for node, (attr, labels) in SHARED_MEASUREMENTS.items()
         }
         for i, m in enumerate(self.ships, start=1):
-            out[ship("meas_dcpa", i)] = m.dcpa_bin
-            out[ship("meas_front_cross", i)] = m.front_cross_bin
-            out[ship("meas_midpoint_dist", i)] = m.midpoint_bin
-            out[ship("meas_tcpa", i)] = m.tcpa_bin
-            out[ship("meas_passed", i)] = int(m.passed)
-            out[ship("meas_pass_side", i)] = SIDE_STATES.index(m.pass_side.value)
-            out[ship("meas_midpoint_side", i)] = SIDE_STATES.index(m.midpoint_side.value)
-            out[ship("meas_situation", i)] = SITUATION_STATES.index(m.situation.value)
+            for node, (attr, labels) in SHIP_MEASUREMENTS.items():
+                out[ship(node, i)] = _state_index(getattr(m, attr), labels)
         return out
+
+
+def _state_index(value: object, labels: tuple[str, ...] | None) -> int:
+    """A measured value's state: an enum by its label, a bin or flag as an int."""
+    return labels.index(value.value) if isinstance(value, Enum) else int(value)

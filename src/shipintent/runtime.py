@@ -81,6 +81,8 @@ from .geometry import (
     Waypoint,
     angle_diff,
     classify_colregs,
+    classify_speed,
+    classify_turn,
     course_speed_changes,
     cpa_linear,
     cross_front_distance,
@@ -616,19 +618,29 @@ class Session:
             real_to_bin(fr, self.disc.channel("meas_ground_front")),
         )
 
-    def _measure(
-        self, own_track: Sequence[ShipState], obstacles: Sequence[ShipState]
+    def _assemble(
+        self,
+        pose: ShipState,
+        obstacles: Sequence[ShipState],
+        changes: tuple[Turn, SpeedTrend, bool],
+        wp_history: Sequence[ShipState],
+        wp_geom: GeometryParams,
     ) -> MeasurementVector:
-        own = own_track[-1]
-        cic, cis, ccc = course_speed_changes(own_track, self.geom)
-        sb_bin, ps_bin, fr_bin = self._ground_bins(own)
+        """One slice's evidence, observed from ``pose``.
+
+        ``changes`` is the (course change, speed change, still-turning)
+        triple; the waypoint trends read ``wp_history`` with ``wp_geom``'s
+        window.  Live steps and candidate maneuvers both measure through here.
+        """
+        cic, cis, ccc = changes
+        sb_bin, ps_bin, fr_bin = self._ground_bins(pose)
         if self.waypoint is None:
             wprb = wprd = Trend.NEITHER
             ahead = False
         else:
-            wprb, wprd, ahead = waypoint_measurements(own_track, self.waypoint, self.geom)
+            wprb, wprd, ahead = waypoint_measurements(wp_history, self.waypoint, wp_geom)
         return MeasurementVector(
-            ships=tuple(self._ship_block(own, obs) for obs in obstacles),
+            ships=tuple(self._ship_block(pose, obs) for obs in obstacles),
             course_change=cic,
             speed_change=cis,
             course_changing=ccc,
@@ -673,7 +685,8 @@ class Session:
                 pa_in=pa,
             )
         own_track = [*self._own, own]
-        meas = self._measure(own_track, obstacles)
+        changes = course_speed_changes(own_track, self.geom)
+        meas = self._assemble(own, obstacles, changes, own_track, self.geom)
         message, node_arrays = _slice_message(
             self.layout, meas.as_states(), live.sa_in, live.pa_in
         )
@@ -806,15 +819,6 @@ def step_update(session: Session, own: ShipState, obstacles: Sequence[ShipState]
     return session._advance(own, obstacles, added_slice=added)
 
 
-def _classify_turn(course: float, reference: float, threshold: float) -> Turn:
-    delta = angle_diff(course, reference)
-    if delta < -threshold:
-        return Turn.STARBOARD
-    if delta > threshold:
-        return Turn.PORT
-    return Turn.STRAIGHT
-
-
 def measure_candidate(
     session: Session, candidate: CandidateTrack, *, lookahead: float | None = None
 ) -> MeasurementVector:
@@ -822,9 +826,10 @@ def measure_candidate(
 
     The candidate is evaluated at ``lookahead`` seconds from now: obstacle
     ships are extrapolated at constant velocity to that instant, the
-    relative-motion measurements are taken there, and the course/speed
+    relative-motion measurements are taken there, the course/speed
     classifications compare the candidate's lookahead state against the
-    session's initial baselines.
+    session's initial baselines, and the waypoint trends compare it against
+    the candidate's state now.
     """
     horizon = session.lookahead if lookahead is None else lookahead
     if horizon < 0.0:
@@ -835,46 +840,20 @@ def measure_candidate(
     cand_la = candidate.state_at(t_la)
     obstacles_la = [obs.advanced(t_la - obs.t) for obs in session.obstacle_states]
 
-    cic = _classify_turn(cand_la.cog, session.start_course, session.geom.course_change_threshold)
-    dsog = cand_la.sog - session.start_sog
-    if dsog > session.geom.speed_change_threshold:
-        cis = SpeedTrend.HIGHER
-    elif dsog < -session.geom.speed_change_threshold:
-        cis = SpeedTrend.LOWER
-    else:
-        cis = SpeedTrend.NONE
+    geom = session.geom
     probe_dt = min(CANDIDATE_TURN_PROBE, horizon)
     if probe_dt > 0.0:
         probe = candidate.state_at(t_la - probe_dt)
         ccc = abs(angle_diff(cand_la.cog, probe.cog)) / probe_dt > CANDIDATE_TURN_RATE
     else:
         ccc = False
-
-    sb_bin, ps_bin, fr_bin = session._ground_bins(cand_la)
-    if session.waypoint is None or horizon <= 0.0:
-        wprb = wprd = Trend.NEITHER
-        ahead = False
-        if session.waypoint is not None:
-            wprb, wprd, ahead = waypoint_measurements(
-                [cand_la], session.waypoint, session.geom
-            )
-    else:
-        wprb, wprd, ahead = waypoint_measurements(
-            [cand_now, cand_la],
-            session.waypoint,
-            replace(session.geom, wp_window=horizon),
-        )
-    return MeasurementVector(
-        ships=tuple(session._ship_block(cand_la, obs) for obs in obstacles_la),
-        course_change=cic,
-        speed_change=cis,
-        course_changing=ccc,
-        ground_sb_bin=sb_bin,
-        ground_ps_bin=ps_bin,
-        ground_front_bin=fr_bin,
-        wp_bearing=wprb,
-        wp_distance=wprd,
-        wp_ahead=ahead,
+    changes = (
+        classify_turn(cand_la.cog, session.start_course, geom.course_change_threshold),
+        classify_speed(cand_la.sog, session.start_sog, geom.speed_change_threshold),
+        ccc,
+    )
+    return session._assemble(
+        cand_la, obstacles_la, changes, [cand_now, cand_la], replace(geom, wp_window=horizon)
     )
 
 

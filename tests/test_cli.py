@@ -2,14 +2,16 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from shipintent.cli import main
 from shipintent.config import default_config, load_config, save_config
-from shipintent.dataio import load_run
-from shipintent.geometry import ShipState
+from shipintent.dataio import load_ais_csv, load_map_geojson, load_run
+from shipintent.extract import build_prior_config, extract_corpus
+from shipintent.geometry import ShipState, local_to_geo
 from helpers import corpus_rows, straight_track, write_corpus, write_labels
 
 EAST, NORTH, SOUTH, WEST = 0.0, math.pi / 2, -math.pi / 2, math.pi
@@ -286,3 +288,50 @@ def test_selftest_passes(capsys):
     out = capsys.readouterr().out
     assert out.count("ok   ") == 5
     assert "FAIL" not in out
+
+
+# -- hazard frames ------------------------------------------------------------------
+
+
+def test_library_and_cli_extraction_agree_on_a_geographic_map(tmp_path, capsys):
+    # Encounters start at different places, so each has its own projection
+    # origin; the map's default origin is its first vertex, far from all of them.
+    tracks = {}
+    for k, start in enumerate([(0.0, 0.0), (-300.0, 150.0), (200.0, -100.0)]):
+        ref = straight_track(start, EAST, 5.0, n=21)
+        obs = straight_track((start[0], start[1] + 1500.0), EAST, 5.0, n=21)
+        tracks[f"enc{k}"] = (ref, obs)
+    corpus = write_encounters(
+        tmp_path / "corpus.csv", tracks, labels={name: "overtaking" for name in tracks}
+    )
+
+    def geo_polygon(cx, cy, half):
+        corners = [(cx - half, cy - half), (cx + half, cy - half),
+                   (cx + half, cy + half), (cx - half, cy + half), (cx - half, cy - half)]
+        ring = [[lon, lat] for lat, lon in (local_to_geo(x, y, ORIGIN) for x, y in corners)]
+        return {"type": "Feature", "properties": {},
+                "geometry": {"type": "Polygon", "coordinates": [ring]}}
+
+    # an island to starboard and a rock dead ahead of every reference start
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({
+        "type": "FeatureCollection",
+        "features": [geo_polygon(600.0, -400.0, 100.0), geo_polygon(900.0, 0.0, 50.0)],
+    }))
+
+    out = tmp_path / "fitted.json"
+    assert main(["extract-priors", str(corpus), str(map_path), "-o", str(out)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        encounters = load_ais_csv(corpus)
+        pmap = load_map_geojson(map_path)
+        library = extract_corpus(encounters, pmap)
+        priors = build_prior_config(encounters, pmap)
+
+    assert library.sample_counts["safe_ground_side"] == 3
+    assert library.sample_counts["safe_ground_front"] == 3
+    assert (tmp_path / "fitted.json.report.txt").read_text() == library.report() + "\n"
+    fitted = load_config(out).priors
+    assert fitted.safe_ground_side == priors.safe_ground_side
+    assert fitted.safe_ground_front == priors.safe_ground_front

@@ -187,6 +187,19 @@ def test_non_overlapping_tracks_skipped_but_good_ones_kept(tmp_path):
     assert [e.name for e in encounters] == ["good"]
 
 
+def test_unsynchronized_tracks_skipped_but_good_ones_kept(tmp_path):
+    rows = []
+    for enc_id, obs_t0 in [("good", 0.0), ("shifted", 5.0)]:
+        ref = straight_track((0.0, 0.0), 0.0, 5.0, n=4)
+        obs = straight_track((800.0, 0.0), math.pi, 5.0, t0=obs_t0, n=4)
+        rows += corpus_rows(enc_id, "reference", "1", ORIGIN, ref)
+        rows += corpus_rows(enc_id, "obstacle", "2", ORIGIN, obs)
+    path = write_corpus(tmp_path / "shifted.csv", rows)
+    with pytest.warns(DataWarning, match="skipping encounter 'shifted'.*share only 0"):
+        encounters = load_ais_csv(path)
+    assert [e.name for e in encounters] == ["good"]
+
+
 def test_single_sample_trajectory_skipped(tmp_path):
     ref = straight_track((0.0, 0.0), 0.0, 5.0, n=1)
     obs = straight_track((800.0, 0.0), math.pi, 5.0, n=4)

@@ -377,3 +377,32 @@ def test_priors_from_result_keeps_base_binaries():
         base = IntentionPriors(unmodeled=0.07)
         priors = priors_from_result(result, base=base)
     assert priors.unmodeled == 0.07
+
+
+# -- timestamp pairing -----------------------------------------------------------------
+
+
+def head_on_reporting_every(obs_dt, obs_t0=0.0):
+    """Head-on pass 100 m abeam at t = 300; the obstacle reports every ``obs_dt`` s."""
+    ref = straight_track((0.0, 0.0), EAST, 5.0, n=61, dt=10.0)
+    obs = [
+        ShipState(t, 3000.0 - 5.0 * t, 100.0, 5.0, WEST)
+        for t in np.arange(obs_t0, 601.0, obs_dt)
+    ]
+    return ref, obs
+
+
+def test_cpa_pairs_fixes_by_timestamp_not_sample_index():
+    ref, obs = head_on_reporting_every(2.0)
+    enc = encounter(ref, obs)
+    dcpa, tcpa = find_cpa([enc])
+    assert dcpa == [pytest.approx(100.0)]
+    assert tcpa == [pytest.approx(300.0)]
+    assert len(enc.pairs) == len(ref)
+    assert all(r.t == o.t for r, o in enc.pairs)
+
+
+def test_encounter_needs_two_shared_timestamps():
+    ref, obs = head_on_reporting_every(10.0, obs_t0=5.0)
+    with pytest.raises(ExtractionError, match="share only 0 timestamps"):
+        encounter(ref, obs)

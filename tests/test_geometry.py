@@ -18,6 +18,8 @@ from shipintent.geometry import (
     Waypoint,
     angle_diff,
     classify_colregs,
+    classify_speed,
+    classify_turn,
     course_speed_changes,
     cpa_linear,
     cross_front_distance,
@@ -474,3 +476,13 @@ def test_ccc_clears_after_settling():
     cic, _, ccc = course_speed_changes(states)
     assert cic is Turn.STARBOARD
     assert ccc is False
+
+
+def test_turn_and_speed_ladders_are_open_at_the_threshold():
+    thr = math.radians(5.0)
+    assert classify_turn(EAST + 0.9 * thr, EAST, thr) is Turn.STRAIGHT
+    assert classify_turn(EAST + 1.1 * thr, EAST, thr) is Turn.PORT
+    assert classify_turn(norm_course(EAST - 1.1 * thr), EAST, thr) is Turn.STARBOARD
+    assert classify_speed(5.4, 5.0, 0.5) is SpeedTrend.NONE
+    assert classify_speed(5.6, 5.0, 0.5) is SpeedTrend.HIGHER
+    assert classify_speed(4.4, 5.0, 0.5) is SpeedTrend.LOWER

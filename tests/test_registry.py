@@ -90,3 +90,25 @@ def test_truth_table_enumerates_every_combination():
     table = truth_table(lambda a, b: a == 2 or b == 1, (3, 2))
     np.testing.assert_array_equal(table, [[False, True], [False, True], [True, True]])
     assert truth_table(lambda: True, ()).shape == ()
+
+
+def test_measurement_table_reads_every_vector_field_once():
+    from shipintent.nodes import (
+        SHARED_MEASUREMENTS,
+        SHIP_MEASUREMENTS,
+        MeasurementVector,
+        ShipMeasurements,
+    )
+
+    for table, cls, skip in (
+        (SHARED_MEASUREMENTS, MeasurementVector, {"ships"}),
+        (SHIP_MEASUREMENTS, ShipMeasurements, set()),
+    ):
+        attrs = [attr for attr, _ in table.values()]
+        fields = [f.name for f in dataclasses.fields(cls) if f.name not in skip]
+        assert sorted(attrs) == sorted(fields)
+    # the network's measurement roots take their labels from the same rows
+    by_id = {v.id: v for v in measurement_variables(1, DISC3)}
+    for node, (_, labels) in SHARED_MEASUREMENTS.items():
+        if labels is not None:
+            assert by_id[node].states == labels
