@@ -37,7 +37,13 @@ import numpy as np
 from .bn import ContradictionError, joint_enumerate_oracle, posterior, random_network, set_evidence
 from .config import ConfigError, RunConfig, default_config, load_config, save_config
 from .dataio import DataError, RunRecord, export_run, load_ais_csv, load_map_geojson
-from .discretize import THRESHOLDS, Discretization, IntentionPriors, threshold_prior_masses
+from .discretize import (
+    THRESHOLDS,
+    Discretization,
+    IntentionPriors,
+    real_to_bin,
+    threshold_prior_masses,
+)
 from .extract import (
     Encounter,
     collect_samples,
@@ -51,7 +57,9 @@ from .geometry import (
     ShipState,
     Waypoint,
     angle_diff,
+    grounding_measurements,
     project_local,
+    sector_ground_distance,
 )
 from .netbuild import apply_measurement_evidence, assert_compatible, build_intention_dbn
 from .runtime import ScoreResult, Session, init_session, score_candidates, step_update
@@ -258,7 +266,10 @@ def _cmd_score(args: argparse.Namespace) -> int:
     cutoff = pairs[0][0].t + args.at
     upto = [pair for pair in pairs if pair[0].t <= cutoff + 1e-9]
 
-    session = _open_session(upto, cfg, hazard=None, waypoint=waypoint)
+    hazard = None
+    if args.map is not None:
+        hazard = _project_map(load_map_geojson(args.map), enc.origin, cfg.map_densify_spacing)
+    session = _open_session(upto, cfg, hazard=hazard, waypoint=waypoint)
     for own, obstacle in upto[1:]:
         step_update(session, own, [obstacle])
 
@@ -353,12 +364,38 @@ def _check_retraction() -> str | None:
     return None
 
 
+def _check_grounding_index() -> str | None:
+    rng = np.random.default_rng(20240819)
+    theta = np.sort(rng.uniform(0.0, 2.0 * math.pi, 4000))
+    radius = 1500.0 + rng.uniform(-300.0, 300.0, theta.size)  # a jagged island
+    ring = np.column_stack((radius * np.cos(theta), radius * np.sin(theta)))
+    pmap = PolygonMap(rings=(np.vstack((ring, ring[:1])),))
+    disc, geom = Discretization(), GeometryParams()
+    reach = max(disc.ground_side.upper, disc.ground_front.upper)
+    half = geom.front_half_angle
+    for trial in range(300):
+        x, y = rng.uniform(-2500.0, 2500.0, 2)
+        chi = float(rng.uniform(0.0, 2.0 * math.pi))
+        indexed = grounding_measurements(ShipState(0.0, x, y, 5.0, chi), pmap, geom, reach)
+        brute = [
+            sector_ground_distance(x, y, chi, pmap, lo, hi)
+            for lo, hi in ((chi - math.pi, chi - half), (chi + half, chi + math.pi),
+                           (chi - half, chi + half))
+        ]
+        for got, want, name in zip(indexed, brute, ("ground_side", "ground_side", "ground_front")):
+            channel = getattr(disc, name)
+            if real_to_bin(got, channel) != real_to_bin(want, channel):
+                return f"trial {trial}: {name} bin of {got!r} vs brute {want!r}"
+    return None
+
+
 _CHECKS = (
     ("exact inference matches enumeration", _check_inference),
     ("threshold bin masses are normalized", _check_discretization),
     ("candidate fan geometry", _check_trajectories),
     ("session matches single-network posterior", _check_dual_route),
     ("scoring leaves session state untouched", _check_retraction),
+    ("indexed grounding matches the brute scan", _check_grounding_index),
 )
 
 
@@ -423,6 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encounter-id", help="select one encounter from the file")
     p.add_argument("--labels", help="label sidecar path")
     p.add_argument("--waypoint", metavar="LAT,LON", help="planned track waypoint")
+    p.add_argument("--map", metavar="GEOJSON", help="coastline GeoJSON (default: no hazards)")
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("selftest", help="run the built-in checks")

@@ -19,7 +19,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .extract import COLREGS_LABELS, Encounter, ExtractionError
-from .geometry import PolygonMap, ShipState, local_frame, norm_course, project_local
+from .geometry import (
+    PolygonMap,
+    ShipState,
+    local_frame,
+    norm_course,
+    project_local,
+    project_rings,
+)
 from .runtime import ScoreResult, StepRecord
 
 __all__ = [
@@ -259,27 +266,44 @@ def load_map_geojson(
             )
             continue
         for ring in exteriors:
-            pts = [(float(lon), float(lat)) for lon, lat in ring]
-            if pts and pts[0] != pts[-1]:
-                pts.append(pts[0])
-            if len(pts) < 4:  # a closed triangle needs 4 points
+            latlon = _ring_positions(ring, f"{path}: feature {idx}")
+            if len(latlon) and not np.array_equal(latlon[0], latlon[-1]):
+                latlon = np.vstack((latlon, latlon[:1]))
+            if len(latlon) < 4:  # a closed triangle needs 4 points
                 raise DataError(
                     f"{path}: feature {idx} has a degenerate ring of "
-                    f"{max(0, len(pts) - 1)} distinct vertices"
+                    f"{max(0, len(latlon) - 1)} distinct vertices"
                 )
-            geo_rings.append(np.array([(lat, lon) for lon, lat in pts]))
+            geo_rings.append(latlon)
     if not geo_rings:
         return PolygonMap()
     if origin is None:
         origin = (float(geo_rings[0][0][0]), float(geo_rings[0][0][1]))
     return PolygonMap(
-        rings=tuple(
-            np.array([project_local(lat, lon, origin) for lat, lon in ring])
-            for ring in geo_rings
-        ),
+        rings=project_rings(geo_rings, origin),
         crs=local_frame(origin),
         geo_rings=tuple(geo_rings),
     )
+
+
+def _ring_positions(ring: object, where: str) -> np.ndarray:
+    """A GeoJSON ring of [lon, lat] positions as an (n, 2) array of (lat, lon).
+
+    Positions may carry an altitude (RFC 7946), which is dropped; ragged,
+    non-numeric or non-finite positions are a :class:`DataError`.
+    """
+    try:
+        arr = np.asarray(ring)
+    except ValueError as exc:  # ragged nesting
+        raise DataError(f"{where} has positions of unequal length") from exc
+    if arr.size == 0:
+        return np.empty((0, 2))
+    if arr.ndim != 2 or arr.shape[1] < 2 or arr.dtype.kind not in "iuf":
+        raise DataError(f"{where} has a ring that is not a list of numeric [lon, lat] positions")
+    latlon = np.array(arr[:, 1::-1], dtype=float, order="C")
+    if not np.isfinite(latlon).all():
+        raise DataError(f"{where} has a non-finite position")
+    return latlon
 
 
 # --------------------------------------------------------------------------

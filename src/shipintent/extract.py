@@ -160,13 +160,13 @@ def find_cpa(encounters: Iterable[Encounter]) -> tuple[list[float], list[float]]
     Tracks the running minimum of the sampled inter-vessel distance; every new
     minimum is refined with :func:`segment_cpa` over the bracketing samples so
     a crossing that happens between two fixes is not missed.  Times count from
-    the reference trajectory's first timestamp.
+    the first fix the two vessels share, where the encounter begins.
     """
     dcpa_vals: list[float] = []
     tcpa_vals: list[float] = []
     for enc in encounters:
-        t0 = enc.reference[0].t
         pairs = enc.pairs
+        t0 = pairs[0][0].t
         min_dist = math.inf
         dcpa = math.inf
         tcpa = math.inf

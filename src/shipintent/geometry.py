@@ -96,6 +96,26 @@ def project_local(lat: float, lon: float, origin: tuple[float, float]) -> tuple[
     return x, y
 
 
+def project_rings(
+    geo_rings: Sequence[np.ndarray], origin: tuple[float, float]
+) -> tuple[np.ndarray, ...]:
+    """:func:`project_local` over (lat, lon) rings, one numpy pass per ring.
+
+    Each element takes the same operations in the same order as the scalar
+    version (``np.radians`` multiplies by the same pi/180), so the meters are
+    bit-identical to projecting vertex by vertex.
+    """
+    lat0, lon0 = origin
+    scale = math.cos(math.radians(lat0))
+    out = []
+    for ring in geo_rings:
+        xy = np.empty(ring.shape)
+        xy[:, 0] = EARTH_RADIUS_M * np.radians(ring[:, 1] - lon0) * scale
+        xy[:, 1] = EARTH_RADIUS_M * np.radians(ring[:, 0] - lat0)
+        out.append(xy)
+    return tuple(out)
+
+
 def local_to_geo(x: float, y: float, origin: tuple[float, float]) -> tuple[float, float]:
     """Inverse of :func:`project_local`."""
     lat0, lon0 = origin
@@ -147,6 +167,16 @@ class Waypoint:
         return np.array((self.x, self.y))
 
 
+def _axis_sorted(verts: np.ndarray) -> tuple[int, np.ndarray]:
+    """(axis, cols): the longer bounding-box axis of ``verts`` and a (2, n)
+    copy of their x and y rows, sorted along that axis."""
+    axis = 0
+    if verts.shape[0]:
+        span = verts.max(axis=0) - verts.min(axis=0)
+        axis = int(span[1] > span[0])
+    return axis, np.ascontiguousarray(verts[np.argsort(verts[:, axis])].T)
+
+
 @dataclass(frozen=True)
 class PolygonMap:
     """Hazard polygons as closed exterior rings of (x, y) vertices."""
@@ -185,15 +215,32 @@ class PolygonMap:
         """Re-project the stored geographic rings about a new origin."""
         if not self.geo_rings:
             raise ValueError("map carries no geographic rings to re-project")
-        rings = []
-        for ring in self.geo_rings:
-            pts = [project_local(lat, lon, origin) for lat, lon in ring]
-            rings.append(np.asarray(pts))
         return PolygonMap(
-            rings=tuple(rings),
+            rings=project_rings(self.geo_rings, origin),
             crs=local_frame(origin),
             geo_rings=self.geo_rings,
         )
+
+    def near(self, x: float, y: float, r: float) -> np.ndarray:
+        """Vertices inside the box ``|vx - x| <= r``, ``|vy - y| <= r``, in no
+        particular order.
+
+        The first call sorts one copy of :meth:`vertices` along the map's
+        longer bounding-box axis and keeps it on the instance (a map's rings
+        are not modified after it is built), so a query is two binary
+        searches for the band plus one cross-axis filter.
+        """
+        index = self.__dict__.get("_box_index")
+        if index is None:
+            # The dataclass is frozen, so the cache goes into the instance dict.
+            index = self.__dict__["_box_index"] = _axis_sorted(self.vertices())
+        axis, cols = index
+        centre = (x, y)
+        lo = np.searchsorted(cols[axis], centre[axis] - r, side="left")
+        hi = np.searchsorted(cols[axis], centre[axis] + r, side="right")
+        band = cols[:, lo:hi]
+        keep = np.abs(band[1 - axis] - centre[1 - axis]) <= r
+        return np.ascontiguousarray(band[:, keep].T)
 
 
 @dataclass(frozen=True)
@@ -331,6 +378,31 @@ def classify_colregs(
     return Situation.CROSSING_PORT if cross > 0.0 else Situation.CROSSING_STARBOARD
 
 
+def _nearest_in_sectors(
+    rel: np.ndarray, chi: float, sectors: Sequence[tuple[float, float]]
+) -> list[float]:
+    """Per sector, the distance to the nearest offset in ``rel`` whose bearing
+    lies in the closed sector [alpha_start, alpha_end] (absolute angles
+    bracketing ``chi``); ``inf`` for a sector without one.  Bearings and
+    distances are computed once for all sectors."""
+    bounds = [(alpha_start - chi, alpha_end - chi) for alpha_start, alpha_end in sectors]
+    if any(lo >= hi for lo, hi in bounds):
+        raise ValueError("alpha_start must be below alpha_end after unwrapping")
+    if rel.shape[0] == 0:
+        return [math.inf] * len(bounds)
+    angles = np.arctan2(rel[:, 1], rel[:, 0]) - chi
+    offsets = np.remainder(angles + math.pi, TWO_PI) - math.pi  # (-pi, pi]-ish
+    dists = np.hypot(rel[:, 0], rel[:, 1])
+    out = []
+    for lo, hi in bounds:
+        in_sector = np.zeros(len(rel), dtype=bool)
+        for shift in (-TWO_PI, 0.0, TWO_PI):
+            shifted = offsets + shift
+            in_sector |= (shifted >= lo - 1e-12) & (shifted <= hi + 1e-12)
+        out.append(float(dists[in_sector].min()) if in_sector.any() else math.inf)
+    return out
+
+
 def sector_ground_distance(
     x: float,
     y: float,
@@ -342,38 +414,36 @@ def sector_ground_distance(
     """Distance to the nearest map vertex whose bearing from (x, y) lies in
     the closed sector [alpha_start, alpha_end] (absolute angles bracketing
     ``chi``); ``inf`` when the sector is empty of vertices."""
-    lo = alpha_start - chi
-    hi = alpha_end - chi
-    if lo >= hi:
-        raise ValueError("alpha_start must be below alpha_end after unwrapping")
-    verts = pmap.vertices()
-    if verts.shape[0] == 0:
-        return math.inf
-    rel = verts - np.array((x, y))
-    angles = np.arctan2(rel[:, 1], rel[:, 0]) - chi
-    offsets = np.remainder(angles + math.pi, TWO_PI) - math.pi  # (-pi, pi]-ish
-    in_sector = np.zeros(len(verts), dtype=bool)
-    for shift in (-TWO_PI, 0.0, TWO_PI):
-        shifted = offsets + shift
-        in_sector |= (shifted >= lo - 1e-12) & (shifted <= hi + 1e-12)
-    if not in_sector.any():
-        return math.inf
-    dists = np.hypot(rel[in_sector, 0], rel[in_sector, 1])
-    return float(dists.min())
+    rel = pmap.vertices() - np.array((x, y))
+    return _nearest_in_sectors(rel, chi, [(alpha_start, alpha_end)])[0]
 
 
 def grounding_measurements(
-    state: ShipState, pmap: PolygonMap, params: GeometryParams = GeometryParams()
+    state: ShipState,
+    pmap: PolygonMap,
+    params: GeometryParams = GeometryParams(),
+    reach: float = math.inf,
 ) -> tuple[float, float, float]:
     """(starboard, port, front) sector distances to the nearest hazard vertex.
 
     Starboard spans from dead astern to the front cone's starboard edge, port
-    mirrors it, and the front cone straddles the course.
+    mirrors it, and the front cone straddles the course.  With a finite
+    ``reach`` only the vertices in the +-reach box around the ship are
+    scanned (:meth:`PolygonMap.near`): a distance below ``reach`` is exactly
+    the full scan's, and a sector whose nearest vertex lies farther reads
+    some value >= ``reach`` or ``inf``.
     """
+    if math.isinf(reach):
+        verts = pmap.vertices()
+    else:
+        verts = pmap.near(state.x, state.y, reach)
     half = params.front_half_angle
-    sb = sector_ground_distance(state.x, state.y, state.cog, pmap, state.cog - math.pi, state.cog - half)
-    ps = sector_ground_distance(state.x, state.y, state.cog, pmap, state.cog + half, state.cog + math.pi)
-    fr = sector_ground_distance(state.x, state.y, state.cog, pmap, state.cog - half, state.cog + half)
+    chi = state.cog
+    sb, ps, fr = _nearest_in_sectors(
+        verts - np.array((state.x, state.y)),
+        chi,
+        [(chi - math.pi, chi - half), (chi + half, chi + math.pi), (chi - half, chi + half)],
+    )
     return sb, ps, fr
 
 

@@ -55,6 +55,15 @@ One pass gives the evidence mass and every root marginal, and the float
 scratch stays bounded whatever the ship count.  Nodes are looked up in their
 truth tables on the axes they actually depend on; only ``colav_ok`` spans
 the whole joint.
+
+Grounding is measured for the live pose and for every candidate's lookahead
+pose, so a step on a large hazard map measures seven poses.  Each pose scans
+only the vertices within ``reach`` of it, the larger of the two grounding
+channels' upper edges: any sector distance at or beyond a channel's upper
+edge lands in its last bin, exactly as ``inf`` does, so the bins equal a
+full scan's.  The map sorts its vertices once, on the first such query
+(:meth:`~shipintent.geometry.PolygonMap.near`), and every session sharing
+the map object reuses that index.
 """
 
 from __future__ import annotations
@@ -611,7 +620,8 @@ class Session:
         if self.hazard is None or self.hazard.is_empty:
             sb = ps = fr = math.inf
         else:
-            sb, ps, fr = grounding_measurements(state, self.hazard, self.geom)
+            reach = max(self.disc.ground_side.upper, self.disc.ground_front.upper)
+            sb, ps, fr = grounding_measurements(state, self.hazard, self.geom, reach)
         return (
             real_to_bin(sb, self.disc.channel("meas_ground_sb")),
             real_to_bin(ps, self.disc.channel("meas_ground_ps")),

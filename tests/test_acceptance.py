@@ -6,8 +6,8 @@ the predicate registry, belief decay on hazard approaches, candidate
 ranking in scripted encounters, closest-approach search against a
 golden-section oracle, prior recovery from planted corpora, bin masses
 against adaptive quadrature, latency budgets at one and two obstacle
-ships, and scoring side-effect freedom.  Fixtures are frozen; every
-tolerance is stated inline.
+ships and for grounding on a large coast, and scoring side-effect
+freedom.  Fixtures are frozen; every tolerance is stated inline.
 """
 
 import math
@@ -23,7 +23,14 @@ from scipy.stats import norm
 from shipintent.bn import joint_enumerate_oracle, posterior
 from shipintent.discretize import Discretization, IntentionPriors, TruncNorm, discretize_truncnorm
 from shipintent.extract import Encounter, ExtractionWarning, build_prior_config, find_cpa
-from shipintent.geometry import PolygonMap, ShipState, Turn, Waypoint, segment_cpa
+from shipintent.geometry import (
+    PolygonMap,
+    ShipState,
+    Turn,
+    Waypoint,
+    grounding_measurements,
+    segment_cpa,
+)
 from shipintent.netbuild import build_intention_dbn
 from shipintent.nodes import at, model_node_specs, model_node_truth
 from shipintent.runtime import init_session, score_candidates, step_update
@@ -387,6 +394,25 @@ def test_two_ship_step_meets_latency_budget():
     single = time.perf_counter() - start
     assert len(result.scores) == 6
     assert single < 2.5
+
+
+def test_grounding_on_a_warm_coast_index_meets_latency_budget():
+    # One pose's grounding on a jagged 1e5-vertex coast, with the map's index
+    # already built, must take under 2 ms (the median of 21 poses).
+    rng = np.random.default_rng(5)
+    xs = np.linspace(-30_000.0, 30_000.0, 100_000)
+    shore = 700.0 + 200.0 * np.sin(xs / 1_100.0) + rng.normal(0.0, 6.0, xs.size)
+    coast = np.column_stack((xs, shore))
+    hazard = PolygonMap(rings=(np.vstack((coast, coast[:1])),))
+    reach = max(Discretization().ground_side.upper, Discretization().ground_front.upper)
+    grounding_measurements(ShipState(0.0, 0.0, 0.0, 5.0, EAST), hazard, reach=reach)
+    times = []
+    for x in np.linspace(-25_000.0, 25_000.0, 21):
+        pose = ShipState(0.0, float(x), 0.0, 5.0, EAST)
+        start = time.perf_counter()
+        grounding_measurements(pose, hazard, reach=reach)
+        times.append(time.perf_counter() - start)
+    assert float(np.median(times)) < 2e-3
 
 
 def test_candidate_scoring_leaves_session_state_untouched():

@@ -286,7 +286,7 @@ def test_bad_worker_env_exits_1(cli_dir, tmp_path, monkeypatch, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok   ") == 5
+    assert out.count("ok   ") == 6
     assert "FAIL" not in out
 
 
@@ -335,3 +335,40 @@ def test_library_and_cli_extraction_agree_on_a_geographic_map(tmp_path, capsys):
     fitted = load_config(out).priors
     assert fitted.safe_ground_side == priors.safe_ground_side
     assert fitted.safe_ground_front == priors.safe_ground_front
+
+
+def test_score_with_map_ranks_the_fan_like_replay(tmp_path, capsys):
+    # A shoal strip to starboard of an eastbound reference: with the map,
+    # `score --at t` must print exactly the scores of `replay`'s row at t.
+    ref = straight_track((0.0, 0.0), EAST, 5.0, n=31)
+    obs = [ShipState(t, 3000.0 - 5.0 * t, 150.0, 5.0, WEST) for t in np.arange(0.0, 310.0, 10.0)]
+    encounter = write_encounters(tmp_path / "coast.csv", {"coast": (ref, obs)})
+    strip = [(200.0, -250.0), (3000.0, -250.0), (3000.0, -600.0), (200.0, -600.0), (200.0, -250.0)]
+    ring = [[lon, lat] for lat, lon in (local_to_geo(x, y, ORIGIN) for x, y in strip)]
+    map_path = tmp_path / "map.json"
+    map_path.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {},
+         "geometry": {"type": "Polygon", "coordinates": [ring]}}]}))
+    config = tmp_path / "config.json"
+    save_config(default_config(), config)
+    table = tmp_path / "run.csv"
+    assert main(["replay", str(encounter), str(map_path), str(config), "-o", str(table)]) == 0
+    row = load_run(table)[6]  # fixes every 10 s: row 6 is t+60 s
+
+    def printed_scores(*extra):
+        capsys.readouterr()
+        assert main(["score", str(encounter), str(config), "--at", "60", *extra]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        start = next(i for i, ln in enumerate(lines) if ln.startswith("candidate")) + 1
+        rows = [ln.split() for ln in lines[start:] if not ln.startswith(("best", "note"))]
+        return {label: score for label, _, score in rows}
+
+    with_map = printed_scores("--map", str(map_path))
+    assert with_map == {label: f"{row[f'cand_{label}']:.6f}" for label in with_map}
+    assert len(with_map) == 6
+
+    def ranking(scores):
+        return sorted(scores, key=lambda label: -float(scores[label]))
+
+    assert ranking(with_map) == sorted(with_map, key=lambda label: -row[f"cand_{label}"])
+    assert ranking(printed_scores())[0] != ranking(with_map)[0]  # the map matters here

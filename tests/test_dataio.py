@@ -22,7 +22,7 @@ from shipintent.dataio import (
     math_to_compass,
     run_columns,
 )
-from shipintent.geometry import ShipState, angle_diff, local_to_geo
+from shipintent.geometry import ShipState, angle_diff, local_to_geo, project_local
 from shipintent.runtime import init_session, score_candidates, step_update
 from helpers import CORPUS_HEADER, corpus_rows, square_ring, straight_track, write_corpus, write_labels
 
@@ -348,6 +348,57 @@ def test_geojson_reprojects_about_new_origin(tmp_path):
     direct = load_map_geojson(path, origin=other)
     assert np.allclose(moved.rings[0], direct.rings[0], atol=1e-12)
     assert moved.crs == direct.crs
+
+
+def test_geojson_projection_is_bitwise_the_scalar_projection(tmp_path):
+    rng = np.random.default_rng(17)
+    rings = []
+    for _ in range(3):
+        lat = 59.0 + rng.uniform(-0.05, 0.05, 40)
+        lon = 10.5 + rng.uniform(-0.08, 0.08, 40)
+        rings.append(np.column_stack((lon, lat)).tolist())
+    path = write_geojson(tmp_path / "m.json", [polygon_feature(ring) for ring in rings])
+    pm = load_map_geojson(path)
+    origin = (rings[0][0][1], rings[0][0][0])
+    for ring, got in zip(rings, pm.rings):
+        closed = ring + ring[:1]
+        want = np.array([project_local(lat, lon, origin) for lon, lat in closed])
+        assert np.array_equal(got, want)
+
+
+def test_geojson_altitude_is_ignored(tmp_path):
+    flat = geo_ring(1200.0, -300.0, 400.0)
+    raised = [[lon, lat, 12.5] for lon, lat in flat]
+    plain = load_map_geojson(write_geojson(tmp_path / "a.json", [polygon_feature(flat)]))
+    with_alt = load_map_geojson(write_geojson(tmp_path / "b.json", [polygon_feature(raised)]))
+    assert np.array_equal(plain.rings[0], with_alt.rings[0])
+    assert np.array_equal(plain.geo_rings[0], with_alt.geo_rings[0])
+
+
+def test_geojson_ragged_positions_rejected(tmp_path):
+    ring = geo_ring(0.0, 0.0, 300.0)
+    ring[2] = ring[2] + [4.0]  # one position with an altitude, the rest without
+    features = [polygon_feature(geo_ring(0.0, 2000.0, 100.0)), polygon_feature(ring)]
+    with pytest.raises(DataError, match="feature 1 has positions of unequal length"):
+        load_map_geojson(write_geojson(tmp_path / "m.json", features))
+
+
+@pytest.mark.parametrize("bad", ["10.5", None, "lonlat-only"])
+def test_geojson_non_numeric_positions_rejected(tmp_path, bad):
+    ring = geo_ring(0.0, 0.0, 300.0)
+    if bad == "lonlat-only":
+        ring = [[lon] for lon, _ in ring]  # positions without a latitude
+    else:
+        ring[1] = [bad, ring[1][1]]
+    with pytest.raises(DataError, match="feature 0 has a ring that is not a list of numeric"):
+        load_map_geojson(write_geojson(tmp_path / "m.json", [polygon_feature(ring)]))
+
+
+def test_geojson_non_finite_position_rejected(tmp_path):
+    ring = geo_ring(0.0, 0.0, 300.0)
+    ring[1][0] = float("nan")
+    with pytest.raises(DataError, match="feature 0 has a non-finite position"):
+        load_map_geojson(write_geojson(tmp_path / "m.json", [polygon_feature(ring)]))
 
 
 # -- run-record export ---------------------------------------------------------

@@ -406,3 +406,18 @@ def test_encounter_needs_two_shared_timestamps():
     ref, obs = head_on_reporting_every(10.0, obs_t0=5.0)
     with pytest.raises(ExtractionError, match="share only 0 timestamps"):
         encounter(ref, obs)
+
+
+def test_cpa_time_counts_from_the_first_shared_fix():
+    # The reference is tracked from t = 0, the obstacle only from t = 300 s;
+    # they pass 100 m apart at t = 400 s, 100 s into the encounter.
+    ref = straight_track((0.0, 0.0), EAST, 5.0, n=61, dt=10.0)
+    obs = [
+        ShipState(t, 2000.0 + 5.0 * (400.0 - t), 100.0, 5.0, WEST)
+        for t in np.arange(300.0, 601.0, 10.0)
+    ]
+    enc = encounter(ref, obs)
+    assert enc.pairs[0][0].t == 300.0
+    dcpa, tcpa = find_cpa([enc])
+    assert dcpa == [pytest.approx(100.0)]
+    assert tcpa == [pytest.approx(100.0)]
