@@ -16,8 +16,7 @@ Verbs
 Exit status is 0 on success, 1 for invalid input (arguments, files, schema,
 configuration), and 2 when observations contradict the model.
 
-``SHIPINTENT_OUT`` prefixes relative output paths; ``SHIPINTENT_WORKERS``
-sets the process count used for corpus extraction.
+``SHIPINTENT_OUT`` prefixes relative output paths.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import math
 import os
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
@@ -35,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .bn import ContradictionError, joint_enumerate_oracle, posterior, random_network, set_evidence
-from .config import ConfigError, RunConfig, default_config, load_config, save_config
+from .config import RunConfig, default_config, load_config, save_config
 from .dataio import DataError, RunRecord, export_run, load_ais_csv, load_map_geojson
 from .discretize import (
     THRESHOLDS,
@@ -82,29 +80,6 @@ def _resolve_out(out: str) -> Path:
     return path
 
 
-def _env_workers() -> int:
-    raw = os.environ.get("SHIPINTENT_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SHIPINTENT_WORKERS={raw!r} is not an integer") from exc
-    if workers < 1:
-        raise ConfigError(f"SHIPINTENT_WORKERS={raw!r} must be >= 1")
-    return workers
-
-
-def _project_map(
-    base_map: PolygonMap, origin: tuple[float, float] | None, spacing: float | None
-) -> PolygonMap:
-    """Re-project a geographic map about an encounter origin, then densify."""
-    pmap = base_map
-    if origin is not None and pmap.geo_rings:
-        pmap = pmap.to_origin(origin)
-    if spacing is not None and not pmap.is_empty:
-        pmap = pmap.densified(spacing)
-    return pmap
-
-
 def _pick_encounter(
     encounters: Sequence[Encounter], wanted: str | None, path: str
 ) -> Encounter:
@@ -139,10 +114,6 @@ def _parse_waypoint(
     return Waypoint(x, y)
 
 
-def _load_base_config(path: str | None) -> RunConfig:
-    return load_config(path) if path else default_config()
-
-
 def _open_session(
     pairs: Sequence[tuple[ShipState, ShipState]],
     cfg: RunConfig,
@@ -174,33 +145,22 @@ def _score_fan(session: Session, cfg: RunConfig) -> ScoreResult:
 # --------------------------------------------------------------------------
 
 
-def _collect_chunk(
-    job: tuple[Encounter, PolygonMap, float, GeometryParams, float | None],
-) -> dict[str, list[float]]:
-    """Per-encounter sample collection; top level so worker processes can run it."""
-    enc, base_map, dist_thresh, geom, spacing = job
-    pmap = _project_map(base_map, enc.origin, spacing)
-    return collect_samples([enc], pmap, dist_thresh=dist_thresh, params=geom)
-
-
 def _cmd_extract_priors(args: argparse.Namespace) -> int:
-    cfg = _load_base_config(args.config)
+    cfg = load_config(args.config) if args.config else default_config()
     encounters = load_ais_csv(args.corpus, labels_path=args.labels)
     if not encounters:
         raise DataError(f"{args.corpus}: no usable encounters")
     base_map = load_map_geojson(args.map)
 
-    jobs = [
-        (enc, base_map, cfg.ground_threshold, cfg.geometry, cfg.map_densify_spacing)
+    parts = [
+        collect_samples(
+            [enc],
+            base_map.framed(enc.origin, cfg.map_densify_spacing),
+            dist_thresh=cfg.ground_threshold,
+            params=cfg.geometry,
+        )
         for enc in encounters
     ]
-    workers = _env_workers()
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_collect_chunk, jobs))
-    else:
-        parts = [_collect_chunk(job) for job in jobs]
-
     result = result_from_samples(merge_samples(parts), cfg.discretization)
     priors = priors_from_result(result, cfg.discretization, base=cfg.priors)
 
@@ -223,7 +183,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     encounters = load_ais_csv(args.encounter, labels_path=args.labels)
     enc = _pick_encounter(encounters, args.encounter_id, args.encounter)
     base_map = load_map_geojson(args.map)
-    hazard = _project_map(base_map, enc.origin, cfg.map_densify_spacing)
+    hazard = base_map.framed(enc.origin, cfg.map_densify_spacing)
     waypoint = _parse_waypoint(args.waypoint, enc.origin)
 
     pairs = enc.pairs
@@ -268,7 +228,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     hazard = None
     if args.map is not None:
-        hazard = _project_map(load_map_geojson(args.map), enc.origin, cfg.map_densify_spacing)
+        hazard = load_map_geojson(args.map).framed(enc.origin, cfg.map_densify_spacing)
     session = _open_session(upto, cfg, hazard=hazard, waypoint=waypoint)
     for own, obstacle in upto[1:]:
         step_update(session, own, [obstacle])

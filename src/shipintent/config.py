@@ -145,15 +145,32 @@ def _truncnorm(d: dict) -> TruncNorm:
     return TruncNorm(float(d["mu"]), float(d["sigma"]), float(d["lo"]), float(d["hi"]))
 
 
+def _degrees(x: float) -> float:
+    """``x`` radians as the shortest decimal whose :func:`math.radians` is ``x``.
+
+    ``math.degrees(radians(15))`` is 14.999999999999998, which parses back to
+    another radian.  The decimal rounds ``math.degrees(x)`` or one of its float
+    neighbours; when none round-trips, ``math.degrees(x)`` is kept.
+    """
+    d = math.degrees(x)
+    near = (d, math.nextafter(d, -math.inf), math.nextafter(d, math.inf))
+    for digits in range(1, 18):
+        for value in near:
+            short = float(f"{value:.{digits}g}")
+            if math.radians(short) == x:
+                return short
+    return d
+
+
 #: kind -> (file value to attribute value, attribute value to file value)
 _KINDS: dict[str, tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {
     "number": (lambda v: None if v is None else float(v), lambda v: v),
     "text": (lambda v: v, lambda v: v),
-    "degrees": (lambda v: math.radians(float(v)), math.degrees),
+    "degrees": (lambda v: math.radians(float(v)), _degrees),
     "numbers": (lambda v: tuple(float(x) for x in v), list),
     "degrees_array": (
         lambda v: tuple(math.radians(float(x)) for x in v),
-        lambda v: [math.degrees(x) for x in v],
+        lambda v: [_degrees(x) for x in v],
     ),
     "truncnorm": (_truncnorm, lambda t: {"mu": t.mu, "sigma": t.sigma, "lo": t.lo, "hi": t.hi}),
     "channel": (

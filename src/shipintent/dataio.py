@@ -241,7 +241,7 @@ def load_map_geojson(
     Keeps exterior rings only (interior holes are water surrounded by the
     hazard anyway), normalizes them closed, and projects about ``origin`` —
     defaulting to the first ring's first vertex.  Re-project about an
-    encounter's own origin later with :meth:`PolygonMap.to_origin`.
+    encounter's own origin later with :meth:`PolygonMap.framed`.
     """
     path = Path(path)
     with open(path) as fh:
@@ -298,7 +298,13 @@ def _ring_positions(ring: object, where: str) -> np.ndarray:
         raise DataError(f"{where} has positions of unequal length") from exc
     if arr.size == 0:
         return np.empty((0, 2))
-    if arr.ndim != 2 or arr.shape[1] < 2 or arr.dtype.kind not in "iuf":
+    numeric = arr.ndim == 2 and arr.shape[1] >= 2 and arr.dtype.kind in "iuf"
+    if numeric:
+        # numpy reads JSON true/false as 1/0; only positions holding a 0 or a 1
+        # can hide one, so only those are inspected element by element.
+        suspects = np.flatnonzero(((arr == 0) | (arr == 1)).any(axis=1))
+        numeric = not any(isinstance(v, bool) for i in suspects for v in ring[i])
+    if not numeric:
         raise DataError(f"{where} has a ring that is not a list of numeric [lon, lat] positions")
     latlon = np.array(arr[:, 1::-1], dtype=float, order="C")
     if not np.isfinite(latlon).all():

@@ -25,7 +25,6 @@ from .geometry import (
     PolygonMap,
     ShipState,
     grounding_measurements,
-    local_frame,
     segment_cpa,
 )
 
@@ -229,11 +228,10 @@ def find_dist2grd_cpa(
 ) -> tuple[list[float], list[float]]:
     """Hazard clearances at each encounter's closest-approach state.
 
-    A map that carries geographic rings is measured in each encounter's own
-    frame: it is re-projected about the encounter's origin unless it is
-    already in that frame.  The map is clipped to a 10 km square region of
-    interest around the reference ship's closest-approach position, then the
-    nearest hazard vertex is found in the starboard, port, and front sectors
+    The map is measured in each encounter's own frame (see
+    :meth:`PolygonMap.framed`) and clipped to a 10 km square region of interest
+    around the reference ship's closest-approach position, then the nearest
+    hazard vertex is found in the starboard, port, and front sectors
     of the ship domain.  min(starboard, port) feeds the side list, front feeds
     the front list, and either only counts when at or below ``dist_thresh`` so
     open-water encounters don't masquerade as tight clearances.
@@ -242,10 +240,7 @@ def find_dist2grd_cpa(
     sdgf_vals: list[float] = []
     for enc in encounters:
         state = _cpa_reference_state(enc)
-        emap = pmap
-        if enc.origin is not None and pmap.geo_rings and pmap.crs != local_frame(enc.origin):
-            emap = pmap.to_origin(enc.origin)
-        roi = _clip_roi(emap, state.x, state.y, ROI_HALF_WIDTH)
+        roi = _clip_roi(pmap.framed(enc.origin), state.x, state.y, ROI_HALF_WIDTH)
         if roi.is_empty:
             continue
         sb, ps, fr = grounding_measurements(state, roi, params)

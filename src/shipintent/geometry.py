@@ -84,8 +84,8 @@ def cross2(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def local_frame(origin: tuple[float, float]) -> str:
-    """Name of the east/north frame projected about a lat/lon ``origin``."""
-    return f"local-equirect({origin[0]:.8f},{origin[1]:.8f})"
+    """Name of the east/north frame about a lat/lon ``origin``, written exactly."""
+    return f"local-equirect({float(origin[0])!r},{float(origin[1])!r})"
 
 
 def project_local(lat: float, lon: float, origin: tuple[float, float]) -> tuple[float, float]:
@@ -220,6 +220,24 @@ class PolygonMap:
             crs=local_frame(origin),
             geo_rings=self.geo_rings,
         )
+
+    def framed(
+        self, origin: tuple[float, float] | None, spacing: float | None = None
+    ) -> "PolygonMap":
+        """This map measured in the frame about ``origin``, then densified.
+
+        Geographic rings are re-projected with :meth:`to_origin` unless the map
+        is already in that frame; both paths project through
+        :func:`project_rings`, so skipping is bit-identical, and a map returned
+        as is keeps its :meth:`near` index.  A map without geographic rings, or
+        a ``None`` origin, keeps its frame.
+        """
+        pmap = self
+        if origin is not None and self.geo_rings and self.crs != local_frame(origin):
+            pmap = self.to_origin(origin)
+        if spacing is not None and not pmap.is_empty:
+            pmap = pmap.densified(spacing)
+        return pmap
 
     def near(self, x: float, y: float, r: float) -> np.ndarray:
         """Vertices inside the box ``|vx - x| <= r``, ``|vy - y| <= r``, in no

@@ -117,7 +117,6 @@ def cli_dir(tmp_path_factory):
 @pytest.fixture(autouse=True)
 def clean_env(monkeypatch):
     monkeypatch.delenv("SHIPINTENT_OUT", raising=False)
-    monkeypatch.delenv("SHIPINTENT_WORKERS", raising=False)
 
 
 # -- argument and input errors exit 1 -------------------------------------------
@@ -258,26 +257,6 @@ def test_extract_priors_fits_and_reports(cli_dir, tmp_path, capsys):
     assert fitted.priors.safe_ground_side == base.priors.safe_ground_side
     assert fitted.priors.safe_ground_front == base.priors.safe_ground_front
     assert fitted.priors.colregs_compliant == base.priors.colregs_compliant
-
-
-def test_worker_pool_output_is_identical(cli_dir, tmp_path, monkeypatch, capsys):
-    serial = tmp_path / "serial.json"
-    assert extract(cli_dir, serial) == 0
-    monkeypatch.setenv("SHIPINTENT_WORKERS", "3")
-    pooled = tmp_path / "pooled.json"
-    assert extract(cli_dir, pooled) == 0
-    capsys.readouterr()
-    assert serial.read_bytes() == pooled.read_bytes()
-    assert (tmp_path / "serial.json.report.txt").read_text() == (
-        tmp_path / "pooled.json.report.txt"
-    ).read_text()
-
-
-def test_bad_worker_env_exits_1(cli_dir, tmp_path, monkeypatch, capsys):
-    for value in ("abc", "0"):
-        monkeypatch.setenv("SHIPINTENT_WORKERS", value)
-        assert extract(cli_dir, tmp_path / "x.json") == 1
-    assert "SHIPINTENT_WORKERS" in capsys.readouterr().err
 
 
 # -- selftest ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from shipintent.dataio import (
     math_to_compass,
     run_columns,
 )
-from shipintent.geometry import ShipState, angle_diff, local_to_geo, project_local
+from shipintent.geometry import PolygonMap, ShipState, angle_diff, local_to_geo, project_local
 from shipintent.runtime import init_session, score_candidates, step_update
 from helpers import CORPUS_HEADER, corpus_rows, square_ring, straight_track, write_corpus, write_labels
 
@@ -350,6 +350,45 @@ def test_geojson_reprojects_about_new_origin(tmp_path):
     assert moved.crs == direct.crs
 
 
+def test_framed_reprojects_only_out_of_frame_maps_then_densifies(tmp_path):
+    path = write_geojson(
+        tmp_path / "map.json", [polygon_feature(geo_ring(700.0, 900.0, 150.0))]
+    )
+    pmap = load_map_geojson(path, origin=ORIGIN)
+    pmap.near(700.0, 900.0, 500.0)  # builds the map's index
+
+    def same_rings(a, b):
+        return len(a.rings) == len(b.rings) and all(
+            np.array_equal(x, y) for x, y in zip(a.rings, b.rings)
+        )
+
+    # already in the frame: the very object, index included
+    assert pmap.framed(ORIGIN) is pmap
+    assert "_box_index" in pmap.framed(ORIGIN).__dict__
+    assert pmap.framed(None) is pmap
+
+    # another frame, even one a 1e-10 degree shift away: to_origin's rings
+    other = (58.95, 10.42)
+    for origin in (other, (ORIGIN[0] + 1e-10, ORIGIN[1])):
+        moved = pmap.framed(origin)
+        assert moved is not pmap
+        assert same_rings(moved, pmap.to_origin(origin))
+        assert moved.crs == pmap.to_origin(origin).crs
+
+    # densified after projecting, in or out of the frame
+    dense = pmap.framed(other, spacing=10.0)
+    assert same_rings(dense, pmap.to_origin(other).densified(10.0))
+    assert dense.rings[0].shape[0] > pmap.rings[0].shape[0]
+    assert same_rings(pmap.framed(ORIGIN, spacing=10.0), pmap.densified(10.0))
+
+    # empty and local maps keep what they are
+    empty = PolygonMap()
+    assert empty.framed(other) is empty
+    assert empty.framed(other, spacing=10.0) is empty
+    local = PolygonMap(rings=(square_ring(0.0, 0.0, 100.0),))
+    assert local.framed(other) is local
+
+
 def test_geojson_projection_is_bitwise_the_scalar_projection(tmp_path):
     rng = np.random.default_rng(17)
     rings = []
@@ -383,7 +422,7 @@ def test_geojson_ragged_positions_rejected(tmp_path):
         load_map_geojson(write_geojson(tmp_path / "m.json", features))
 
 
-@pytest.mark.parametrize("bad", ["10.5", None, "lonlat-only"])
+@pytest.mark.parametrize("bad", ["10.5", None, True, "lonlat-only"])
 def test_geojson_non_numeric_positions_rejected(tmp_path, bad):
     ring = geo_ring(0.0, 0.0, 300.0)
     if bad == "lonlat-only":

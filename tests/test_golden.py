@@ -61,6 +61,7 @@ def test_custom_config_bytes_are_unchanged():
     golden = (GOLDEN / "custom_config.json").read_text()
     assert serialize_config(custom_config()) == golden
     assert serialize_config(parse_config(golden)) == golden
+    assert parse_config(golden) == custom_config()
 
 
 def test_extraction_report_lines_are_unchanged():
