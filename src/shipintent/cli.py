@@ -22,6 +22,7 @@ configuration), and 2 when observations contradict the model.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -60,7 +61,20 @@ from .geometry import (
     sector_ground_distance,
 )
 from .netbuild import apply_measurement_evidence, assert_compatible, build_intention_dbn
-from .runtime import ScoreResult, Session, init_session, score_candidates, step_update
+from .nodes import course_held
+from .runtime import (
+    ScoreResult,
+    Session,
+    _factored_z_f,
+    _fold,
+    _Product,
+    _slice_message,
+    _virtual_root_dists,
+    init_session,
+    measure_candidate,
+    score_candidates,
+    step_update,
+)
 from .trajgen import LosParams, los_candidates
 
 
@@ -349,6 +363,30 @@ def _check_grounding_index() -> str | None:
     return None
 
 
+def _check_factored_scoring() -> str | None:
+    own = ShipState(t=0.0, x=0.0, y=0.0, sog=5.0, cog=0.0)
+    obstacles = [
+        ShipState(t=0.0, x=2500.0, y=120.0, sog=4.0, cog=math.pi),
+        ShipState(t=0.0, x=1500.0, y=-2000.0, sog=5.0, cog=math.pi / 2),
+    ]
+    session = init_session(own, obstacles, disc=Discretization().with_bins(3))
+    layout = session.layout
+    dists = _virtual_root_dists(layout, session.last_record.posterior)
+    full = _Product([dists[root] for root in layout.f_roots], layout.prior.split)
+    weight = layout.factor_weight(dists)
+    # Every course/speed change for every candidate: both branches of course_held.
+    for cand in los_candidates(own, LosParams()):
+        states = measure_candidate(session, cand).as_states()
+        for cic, cis in itertools.product(range(3), repeat=2):
+            states.update(meas_course_change=cic, meas_speed_change=cis)
+            want = full.expect(_slice_message(layout, states, 0, 0)[0].f_side)
+            got = _factored_z_f(layout, weight, _fold(layout, states, 0, 0))
+            if abs(got - want) > 1e-12:
+                held = course_held(cic, cis)
+                return f"{cand.label}, course held {held}: |delta z_f|={abs(got - want):.2e}"
+    return None
+
+
 _CHECKS = (
     ("exact inference matches enumeration", _check_inference),
     ("threshold bin masses are normalized", _check_discretization),
@@ -356,6 +394,7 @@ _CHECKS = (
     ("session matches single-network posterior", _check_dual_route),
     ("scoring leaves session state untouched", _check_retraction),
     ("indexed grounding matches the brute scan", _check_grounding_index),
+    ("factored scoring matches the full-joint contraction", _check_factored_scoring),
 )
 
 

@@ -196,19 +196,25 @@ class PolygonMap:
         return np.vstack([ring[:-1] for ring in self.rings])
 
     def densified(self, spacing: float) -> "PolygonMap":
-        """Insert vertices so no edge is longer than ``spacing`` meters."""
+        """Insert vertices so no edge is longer than ``spacing`` meters.
+
+        Edge ``a -> b`` is cut into ``steps = max(1, ceil(|b - a| / spacing))``
+        pieces at ``a + (b - a) * (k / steps)``, ``k < steps`` (a zero-length
+        edge keeps its start point); the ring's last point closes it.  One
+        numpy pass per ring.
+        """
         if spacing <= 0.0:
             raise ValueError("spacing must be positive")
         out = []
         for ring in self.rings:
-            pts = []
-            for a, b in zip(ring[:-1], ring[1:]):
-                seg = b - a
-                steps = max(1, int(math.ceil(float(np.hypot(*seg)) / spacing)))
-                for k in range(steps):
-                    pts.append(a + seg * (k / steps))
-            pts.append(ring[-1])
-            out.append(np.asarray(pts))
+            start = ring[:-1]
+            seg = ring[1:] - start
+            steps = np.maximum(1.0, np.ceil(np.hypot(seg[:, 0], seg[:, 1]) / spacing))
+            steps = steps.astype(np.int64)
+            edge = np.repeat(np.arange(len(start)), steps)
+            k = np.arange(edge.size) - np.repeat(np.cumsum(steps) - steps, steps)
+            pts = start[edge] + seg[edge] * (k / steps[edge])[:, None]
+            out.append(np.vstack((pts, ring[-1:])))
         return PolygonMap(rings=tuple(out), crs=self.crs, geo_rings=self.geo_rings)
 
     def to_origin(self, origin: tuple[float, float]) -> "PolygonMap":

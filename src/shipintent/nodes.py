@@ -76,10 +76,14 @@ def at(node: str, k: int) -> str:
     return f"{node}@{k}"
 
 
+# The intention roots each obstacle ship adds, by base.
+SHIP_INTENTIONS = ("priority", "situation_view")
+
+
 def intention_ids(n_ships: int) -> list[str]:
     ids = list(THRESHOLDS) + list(INTENTION_BINARY)
     for i in range(1, n_ships + 1):
-        ids += [ship("priority", i), ship("situation_view", i)]
+        ids += [ship(base, i) for base in SHIP_INTENTIONS]
     return ids
 
 
@@ -112,6 +116,23 @@ def model_node_truth(spec: ModelNodeSpec, assignment: Mapping[str, int]) -> bool
     except KeyError as missing:
         raise ValueError(f"assignment is missing parent {missing.args[0]!r}") from None
     return bool(spec.predicate(*states))
+
+
+# ``stands_on_ok_i`` is the only node that reads another ship's nodes, and it
+# reads them only through these two predicates: it holds when the course is
+# held or when the vessel is giving way to some other ship j.
+COURSE_HELD_PARENTS = ("meas_course_change", "meas_speed_change")
+GIVES_WAY_BASES = ("gives_way_role", "evasive_ok", "passed_safely")
+
+
+def course_held(cic: int, cis: int) -> bool:
+    """Course straight and speed unchanged: standing on towards every ship."""
+    return cic == STRAIGHT and cis == NONE
+
+
+def gives_way_to(role: int, evasive: int, passed_safely: int) -> bool:
+    """Giving way to a ship: the give-way role, evading, and not yet safely past."""
+    return role == TRUE and evasive == TRUE and passed_safely == FALSE
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,16 +308,13 @@ def model_node_specs(n_ships: int) -> tuple[ModelNodeSpec, ...]:
 
     for i in range(1, n_ships + 1):
         others = [j for j in range(1, n_ships + 1) if j != i]
-        parents = ["meas_course_change", "meas_speed_change"]
+        parents = list(COURSE_HELD_PARENTS)
         for j in others:
-            parents += [ship("gives_way_role", j), ship("evasive_ok", j), ship("passed_safely", j)]
+            parents += [ship(base, j) for base in GIVES_WAY_BASES]
 
         def stands_on(cic: int, cis: int, *rest: int, _n: int = len(others)) -> bool:
-            if cic == STRAIGHT and cis == NONE:
-                return True
-            return any(
-                rest[3 * k] == TRUE and rest[3 * k + 1] == TRUE and rest[3 * k + 2] == FALSE
-                for k in range(_n)
+            return course_held(cic, cis) or any(
+                gives_way_to(*rest[3 * k : 3 * k + 3]) for k in range(_n)
             )
 
         specs.append(ModelNodeSpec(ship("stands_on_ok", i), tuple(parents), stands_on))

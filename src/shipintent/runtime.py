@@ -43,18 +43,32 @@ Cost and memory
 Each obstacle ship adds a priority and a situation-view root, so the joint
 over the collision-avoidance roots grows by a factor of 15 per ship: 6e5
 cells at one obstacle, 9e6 at two and 1.35e8 at three with the default ten
-bins per threshold.  Only booleans are kept dense over it (the frozen
+bins per threshold.  A step keeps booleans dense over it (the frozen
 constraint and the live slice's constraint, one byte a cell: 0.6 MB, 9 MB
-and 135 MB); the prior and the candidates' virtual evidence stay one vector
-per root.  Every marginal, node expectation and candidate score contracts a
-boolean joint against those vectors, which is variable elimination over a
-product-form prior (Koller & Friedman 2009, ch. 9-10): the joint is read as
-a matrix, ship views and compliance switches by thresholds, converted to
-float64 a row chunk at a time, and multiplied by the vectors of each block.
-One pass gives the evidence mass and every root marginal, and the float
-scratch stays bounded whatever the ship count.  Nodes are looked up in their
-truth tables on the axes they actually depend on; only ``colav_ok`` spans
-the whole joint.
+and 135 MB); the prior stays one vector per root.  Every marginal and node
+expectation contracts a boolean joint against those vectors, which is
+variable elimination over a product-form prior (Koller & Friedman 2009,
+ch. 9-10): the joint is read as a matrix, ship views and compliance switches
+by thresholds, converted to float64 a row chunk at a time, and multiplied
+by the vectors of each block.  One pass gives the evidence mass and every
+root marginal, and the float scratch stays bounded whatever the ship count.
+Nodes are looked up in their truth tables on the axes they actually depend
+on; only ``stands_on_ok`` and the nodes that read it span (nearly) the whole
+joint.
+
+Scoring builds no array over more than one ship's axes.  ``stands_on_ok_i
+= C or OR_{j!=i} g_j`` is the only node that reads another ship's nodes
+(``C``: course straight and speed unchanged, observed; ``g_j``: giving way
+to ship j).  Fixed to 0 or 1, it leaves ship i's cap (``colav_ok_i or
+nav_maneuver_ok_i``) on the shared axes (compliance switches and
+thresholds, 4e4 cells) and ship i's own two, 6e5 cells.  Conditioning on
+the ``g`` bits thus turns the candidate's constraint into a sum of per-ship
+products: context-specific independence (Boutilier, Friedman, Goldszmidt &
+Koller, UAI 1996) used as cutset conditioning (Pearl 1988).  A candidate
+costs about ``n * 6e5`` cells instead of ``4e4 * 15**n``: when ``C``
+holds, or with one ship, one cap and one sum over its axes per ship;
+otherwise both caps and four sums.  At two ships the scratch stays under
+6 MB, where one boolean joint alone is 9 MB.  See :func:`_factored_z_f`.
 
 Grounding is measured for the live pose and for every candidate's lookahead
 pose, so a step on a large hazard map measures seven poses.  Each pose scans
@@ -70,8 +84,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
-from collections.abc import Mapping, Sequence
+from collections import ChainMap
+from collections.abc import Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -317,6 +333,63 @@ class _Layout:
             spec.node_id: truth_table(spec.predicate, tuple(cards.get(p, 2) for p in spec.parents))
             for spec in self.specs
         }
+        self.gives_way_table = truth_table(nodes.gives_way_to, (2,) * len(nodes.GIVES_WAY_BASES))
+
+        # stands_on_ok_i couples the ships: it and the nodes that read it are
+        # evaluated after the fold that steps and scoring share.  tails[i-1]
+        # are the nodes that read ship i's stands_on_ok.
+        folded = [
+            spec for spec in self.specs
+            if spec.node_id not in _SKIP_NODES and not spec.node_id.startswith("ship_compatible_")
+        ]
+        self.stands_on = tuple(ship("stands_on_ok", i) for i in range(1, n_ships + 1))
+        coupled = set(self.stands_on).union(s.node_id for s in _reading(folded, self.stands_on))
+        self.shared_specs = tuple(s for s in folded if s.node_id not in coupled)
+        self.coupled_specs = tuple(s for s in folded if s.node_id in coupled)
+        self.tails = tuple(_reading(self.coupled_specs, (s,)) for s in self.stands_on)
+
+        # Ship i's two axes sit together in the row block, after the shared
+        # compliance switches and before the thresholds; dropping the other
+        # ships' axes leaves a (switch cells, 15, threshold cells) matrix.
+        self.ship_axes = tuple(
+            tuple(self.f_roots.index(ship(base, i)) for base in nodes.SHIP_INTENTIONS)
+            for i in range(1, n_ships + 1)
+        )
+        owned = {ax for axes in self.ship_axes for ax in axes}
+        self.switch_axes = tuple(j for j in range(split) if j not in owned)
+        self.threshold_axes = tuple(range(split, rank))
+
+    def factor_weight(
+        self, dists: Mapping[str, np.ndarray]
+    ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+        """A product weight as flat (switch, per-ship, threshold) block vectors."""
+
+        def block(axes: Sequence[int]) -> np.ndarray:
+            vecs = [dists[self.f_roots[j]] for j in axes]
+            return functools.reduce(np.multiply.outer, vecs, np.ones(())).ravel()
+
+        return (
+            block(self.switch_axes),
+            tuple(block(axes) for axes in self.ship_axes),
+            block(self.threshold_axes),
+        )
+
+    def ship_sums(self, arr: np.ndarray, i: int, w_ship: np.ndarray) -> np.ndarray:
+        """Sum of a boolean array over ship ``i``'s two axes against ``w_ship``.
+
+        The array spans the shared axes and ship ``i``'s own (a reshape
+        raises if it spans another ship's).  Returns the float64 (switch
+        cells, threshold cells) matrix, one ``(15,) @ (15, thresholds)``
+        product per switch row, so the float scratch is one row.
+        """
+        keep = (*self.switch_axes, *self.ship_axes[i - 1], *self.threshold_axes)
+        arr = arr.reshape(tuple(arr.shape[j] for j in keep))
+        mat = np.broadcast_to(arr, tuple(self.cards[j] for j in keep))
+        mat = mat.reshape(-1, len(w_ship), math.prod(self.cards[j] for j in self.threshold_axes))
+        out = np.empty((mat.shape[0], mat.shape[2]))
+        for row, block in enumerate(mat):
+            out[row] = w_ship @ block.astype(np.float64)
+        return out
 
 
 def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
@@ -367,19 +440,40 @@ _SKIP_NODES = {"ground_safe", "compatible"}
 _EXPORT_BASES = ("colav_ok", "nav_maneuver_ok", "evasive_ok")
 
 
-def _slice_message(
+def _reading(
+    specs: Sequence[nodes.ModelNodeSpec], seeds: Sequence[str]
+) -> tuple[nodes.ModelNodeSpec, ...]:
+    """The specs, in order, that read one of ``seeds`` directly or through one another."""
+    reached = set(seeds)
+    out = []
+    for spec in specs:
+        if reached.intersection(spec.parents):
+            reached.add(spec.node_id)
+            out.append(spec)
+    return tuple(out)
+
+
+def _evaluate(
+    layout: _Layout, specs: Sequence[nodes.ModelNodeSpec], values: MutableMapping[str, object]
+) -> None:
+    """Look each spec up in its truth table on the parent values, in order."""
+    for spec in specs:
+        values[spec.node_id] = _lookup(
+            layout.tables[spec.node_id], [values[p] for p in spec.parents]
+        )
+
+
+def _fold(
     layout: _Layout, meas_states: Mapping[str, int], sa_in: int, pa_in: int
-) -> tuple[_SliceMessage, dict[str, np.ndarray]]:
-    """Fold one slice's observations into boolean root-space indicators.
+) -> dict[str, object]:
+    """Fold one slice's observations through every node that does not couple ships.
 
     Walks the model registry in dependency order, looking each node up in
     its truth table: observed measurements and latch carries enter as
     integers, intention roots as axis arrays, and previously folded nodes as
     boolean arrays that span only the axes they depend on.  The grounding
     thresholds are not layout axes; they fold as vectors of their own.
-
-    Returns the message a slice keeps and the exported per-ship node
-    indicators, which only the step's posterior bundle reads.
+    Steps and candidate scoring both start from this fold.
     """
     values: dict[str, object] = dict(meas_states)
     values.update(layout.axis_arrays)
@@ -387,23 +481,34 @@ def _slice_message(
     values["turned_port_prev"] = pa_in
     for root in ("safe_ground_side", "safe_ground_front"):
         values[root] = np.arange(len(layout.prior_vec[root]), dtype=np.uint8)
-    for spec in layout.specs:
-        if spec.node_id in _SKIP_NODES or spec.node_id.startswith("ship_compatible_"):
-            continue
-        values[spec.node_id] = _lookup(
-            layout.tables[spec.node_id], [values[p] for p in spec.parents]
-        )
+    _evaluate(layout, layout.shared_specs, values)
+    return values
 
+
+def _cap(values: Mapping[str, object], i: int) -> np.ndarray:
+    """Ship ``i``'s cap: its collision-avoidance rules or the planned route explain the slice."""
+    return np.logical_or(values[ship("colav_ok", i)], values[ship("nav_maneuver_ok", i)])
+
+
+def _slice_message(
+    layout: _Layout, meas_states: Mapping[str, int], sa_in: int, pa_in: int
+) -> tuple[_SliceMessage, dict[str, np.ndarray]]:
+    """Fold one slice's observations into boolean root-space indicators.
+
+    The shared fold, then the coupled nodes on the whole layout joint.
+    Returns the message a slice keeps and the exported per-ship node
+    indicators, which only the step's posterior bundle reads.
+    """
+    values = _fold(layout, meas_states, sa_in, pa_in)
+    _evaluate(layout, layout.coupled_specs, values)
     node_arrays = {
         ship(base, i): np.asarray(values[ship(base, i)], dtype=bool)
         for i in range(1, layout.n_ships + 1)
         for base in _EXPORT_BASES
     }
-    caps = [
-        node_arrays[ship("colav_ok", i)] | node_arrays[ship("nav_maneuver_ok", i)]
-        for i in range(1, layout.n_ships + 1)
-    ]
-    f_side = functools.reduce(np.logical_and, caps)
+    f_side = functools.reduce(
+        np.logical_and, (_cap(node_arrays, i) for i in range(1, layout.n_ships + 1))
+    )
     message = _SliceMessage(
         f_side=f_side,
         v_side=np.asarray(values["ground_safe_side"], dtype=bool),
@@ -413,6 +518,58 @@ def _slice_message(
         turned_port=int(values["turned_port"]),
     )
     return message, node_arrays
+
+
+def _factored_z_f(
+    layout: _Layout,
+    weight: tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray],
+    values: Mapping[str, object],
+) -> float:
+    """Weight of one slice's ``f_side`` under a product weight, ship by ship.
+
+    ``values`` is the slice's shared fold.  ``stands_on_ok_i = C or OR_{j!=i}
+    g_j`` is the only node that couples ships, with ``C`` =
+    :func:`~shipintent.nodes.course_held` and ``g_j`` =
+    :func:`~shipintent.nodes.gives_way_to` of ship j's nodes.  With it fixed
+    to a value ``s``, ship i's ``cap_i(s)`` spans the shared axes and ship
+    i's own only.  The patterns ``b`` of the ``g`` bits partition the joint,
+    and within one pattern every ``stands_on_ok_i`` is fixed, so
+    ``f_side = OR_b AND_i [cap_i(C or OR_{j!=i} b_j) and g_i == b_i]`` and its
+    weight is the shared-block contraction of ``sum_b prod_i T_i[b_i, s_i]``,
+    where ``T_i[b, s]`` sums ``cap_i(s) and g_i == b`` over ship i's axes.
+    When ``C`` holds, or with one ship, ``s`` does not depend on ``b`` and
+    the pattern sum is ``prod_i`` of ship i's sum of ``cap_i(s)``.
+    """
+    w_switch, w_ships, w_thr = weight
+    n = layout.n_ships
+    held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
+
+    def cap(i: int, s: int) -> np.ndarray:
+        scope = ChainMap({layout.stands_on[i - 1]: s}, values)
+        _evaluate(layout, layout.tails[i - 1], scope)
+        return _cap(scope, i)
+
+    if held or n == 1:
+        block = functools.reduce(
+            np.multiply,
+            (layout.ship_sums(cap(i, held), i, w_ships[i - 1]) for i in range(1, n + 1)),
+        )
+    else:
+        sums = []  # sums[i - 1][b][s] = T_i[b, s]
+        for i in range(1, n + 1):
+            g = _lookup(layout.gives_way_table, [values[ship(b, i)] for b in nodes.GIVES_WAY_BASES])
+            caps = (cap(i, False), cap(i, True))
+            sums.append(
+                [[layout.ship_sums(c & (g == b), i, w_ships[i - 1]) for c in caps] for b in (0, 1)]
+            )
+        block = sum(
+            functools.reduce(
+                np.multiply,
+                (sums[i][b[i]][any(b[:i] + b[i + 1 :])] for i in range(n)),
+            )
+            for b in itertools.product((0, 1), repeat=n)
+        )
+    return float(w_switch @ block @ w_thr)
 
 
 def _branch_masses(
@@ -902,7 +1059,7 @@ def score_candidates(
         raise ValueError("need at least one candidate to score")
     layout = session.layout
     dists = _virtual_root_dists(layout, session.last_record.posterior)
-    weight = _Product([dists[root] for root in layout.f_roots], layout.prior.split)
+    weight = layout.factor_weight(dists)
     rho_u = float(dists["unmodeled"][1])
     rho_g = float(dists["ground_intent"][1])
     carry = session._live().message
@@ -916,10 +1073,12 @@ def score_candidates(
         states = meas.as_states()
         key = tuple(states.values())
         if key not in raw_by_states:
-            msg, _ = _slice_message(layout, states, *latches)
-            z_f = weight.expect(msg.f_side)
-            z_s = float((dists["safe_ground_side"] * msg.v_side).sum())
-            z_fr = float((dists["safe_ground_front"] * msg.v_front).sum())
+            values = _fold(layout, states, *latches)
+            z_f = _factored_z_f(layout, weight, values)
+            v_side = np.asarray(values["ground_safe_side"], dtype=bool)
+            v_front = np.asarray(values["ground_safe_front"], dtype=bool)
+            z_s = float((dists["safe_ground_side"] * v_side).sum())
+            z_fr = float((dists["safe_ground_front"] * v_front).sum())
             raw = rho_u + (1.0 - rho_u) * z_f * (rho_g + (1.0 - rho_g) * z_s * z_fr)
             raw_by_states[key] = 0.0 if raw < SCORE_FLOOR else raw
         raws.append(raw_by_states[key])

@@ -265,7 +265,7 @@ def test_extract_priors_fits_and_reports(cli_dir, tmp_path, capsys):
 def test_selftest_passes(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
-    assert out.count("ok   ") == 6
+    assert out.count("ok   ") == 7
     assert "FAIL" not in out
 
 

@@ -2,8 +2,9 @@
 
 Marginals, live-node probabilities and raw candidate scores must agree to
 1e-12 at every checked step: the kernel contracts boolean joints against
-per-axis vectors in float64 row chunks, the reference reduces a dense
-``weight * joint``, so only the summation order differs.
+per-axis vectors in float64 row chunks and scores candidates ship by ship,
+the reference reduces a dense ``weight * joint``, so only the summation
+order differs.
 """
 
 import math
@@ -19,6 +20,9 @@ from shipintent.trajgen import los_candidates
 
 EAST, NORTH, WEST = 0.0, math.pi / 2, math.pi
 TOL = 1e-12
+# Candidates are scored at each of these lookaheads [s]; between them the
+# fan's course-held and turning branches are both taken.
+LOOKAHEADS = (30.0, 60.0, 120.0)
 
 
 def assert_matches_dense(session, *, score=False):
@@ -33,9 +37,11 @@ def assert_matches_dense(session, *, score=False):
         assert abs(record.node_probs[name] - want) <= TOL, name
     if score:
         candidates = los_candidates(session.own_state)
-        got = [s.raw for s in score_candidates(session, candidates).scores]
-        want = candidate_raws(session, candidates)
-        assert np.abs(np.asarray(got) - np.asarray(want)).max() <= TOL
+        for lookahead in LOOKAHEADS:
+            result = score_candidates(session, candidates, lookahead=lookahead)
+            got = [s.raw for s in result.scores]
+            want = candidate_raws(session, candidates, lookahead=lookahead)
+            assert np.abs(np.asarray(got) - np.asarray(want)).max() <= TOL, lookahead
 
 
 def test_one_ship_replay_beside_a_hazard_matches_dense():

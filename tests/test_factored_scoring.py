@@ -1,0 +1,156 @@
+"""Candidate scoring contracts ship by ship, and that is exact.
+
+``stands_on_ok_i = C or OR_{j!=i} g_j`` is the only node that couples the
+obstacle ships (``C``: course straight and speed unchanged; ``g_j``: giving
+way to ship j).  Scoring splits on the ``g`` bits and sums per-ship products
+instead of folding the whole joint, so these tests pin the assumption in the
+compiled tables, the factored weight against the full-joint contraction,
+and the memory that the factoring saves.
+"""
+
+import functools
+import itertools
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shipintent import nodes
+from shipintent.discretize import Discretization, IntentionPriors
+from shipintent.geometry import ShipState
+from shipintent.netbuild import measurement_variables
+from shipintent.nodes import SHIP_INTENTIONS, SHIP_MEASUREMENTS, model_node_specs, ship
+from shipintent.runtime import (
+    SlicePolicy,
+    _factored_z_f,
+    _fold,
+    _Layout,
+    _Product,
+    _slice_message,
+    init_session,
+    score_candidates,
+    step_update,
+)
+from shipintent.trajgen import los_candidates
+
+EAST, NORTH, WEST = 0.0, math.pi / 2, math.pi
+DISC3 = Discretization().with_bins(3)
+OBSTACLES = (
+    ShipState(0.0, 2500.0, 120.0, 4.0, WEST),
+    ShipState(0.0, 1500.0, -2000.0, 5.0, NORTH),
+    ShipState(0.0, -1500.0, 300.0, 7.0, EAST),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def layout3(n_ships):
+    return _Layout(n_ships, IntentionPriors(), DISC3, None)
+
+
+def owners(n_ships):
+    """Per-ship node id -> the obstacle it belongs to."""
+    bases = {s.node_id[:-2] for s in model_node_specs(1) if s.node_id.endswith("_1")}
+    bases |= set(SHIP_MEASUREMENTS) | set(SHIP_INTENTIONS)
+    return {ship(base, j): j for base in bases for j in range(1, n_ships + 1)}
+
+
+@pytest.mark.parametrize("n_ships", [1, 2, 3])
+def test_stands_on_ok_is_the_only_node_that_reads_another_ship(n_ships):
+    owner = owners(n_ships)
+    for spec in model_node_specs(n_ships):
+        readers = {owner[p] for p in spec.parents if p in owner}
+        if spec.node_id == "compatible":  # the conjunction over every ship
+            continue
+        if spec.node_id not in owner:
+            assert not readers, spec.node_id
+            continue
+        i = owner[spec.node_id]
+        if spec.node_id == ship("stands_on_ok", i):
+            assert readers == set(range(1, n_ships + 1)) - {i}
+        else:
+            assert readers <= {i}, spec.node_id
+
+
+@pytest.mark.parametrize("n_ships", [1, 2, 3])
+def test_stands_on_ok_table_is_course_held_or_giving_way_to_another(n_ships):
+    layout = layout3(n_ships)
+    for i in range(1, n_ships + 1):
+        others = [j for j in range(1, n_ships + 1) if j != i]
+        spec = next(s for s in layout.specs if s.node_id == ship("stands_on_ok", i))
+        assert spec.parents == ("meas_course_change", "meas_speed_change") + tuple(
+            ship(base, j) for j in others for base in ("gives_way_role", "evasive_ok", "passed_safely")
+        )
+        table = layout.tables[spec.node_id]
+        held = table[(slice(None), slice(None)) + (0,) * (3 * len(others))]  # every g false
+        assert held.any() and not held.all()
+        for idx in np.ndindex(table.shape):
+            cic, cis, *rest = idx
+            gives_way = [
+                rest[3 * k] == 1 and rest[3 * k + 1] == 1 and rest[3 * k + 2] == 0
+                for k in range(len(others))
+            ]
+            assert table[idx] == (held[cic, cis] or any(gives_way)), idx
+
+
+def full_joint_z_f(layout, dists, states, sa, pa):
+    msg, _ = _slice_message(layout, states, sa, pa)
+    return _Product([dists[r] for r in layout.f_roots], layout.prior.split).expect(msg.f_side)
+
+
+NOT_HELD = [
+    (cic, cis)
+    for cic, cis in itertools.product(range(3), repeat=2)
+    if not (cic == nodes.STRAIGHT and cis == nodes.NONE)
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_factored_z_f_matches_the_full_joint_contraction(data):
+    n_ships = data.draw(st.integers(1, 3), label="n_ships")
+    layout = layout3(n_ships)
+    states = {
+        v.id: data.draw(st.integers(0, v.cardinality - 1), label=v.id)
+        for v in measurement_variables(n_ships, DISC3)
+    }
+    if data.draw(st.booleans(), label="course_held"):
+        cic, cis = nodes.STRAIGHT, nodes.NONE
+    else:
+        cic, cis = data.draw(st.sampled_from(NOT_HELD), label="course_change")
+    states.update(meas_course_change=cic, meas_speed_change=cis)
+    sa, pa = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)), label="latches")
+    dists = {
+        root: np.asarray(
+            data.draw(st.lists(st.floats(0.0, 1.0), min_size=card, max_size=card), label=root)
+        )
+        for root, card in zip(layout.f_roots, layout.cards)
+    }
+
+    want = full_joint_z_f(layout, dists, states, sa, pa)
+    got = _factored_z_f(layout, layout.factor_weight(dists), _fold(layout, states, sa, pa))
+    assert abs(got - want) <= 1e-12
+
+
+def test_scoring_builds_no_full_joint_array():
+    # Default bins, two ships: the joint has 9e6 cells, so one boolean array
+    # over it alone would take 9e6 bytes.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = OBSTACLES[:2]
+    session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
+    for t in (10.0, 20.0):
+        own = ShipState(t, 5.0 * t, 0.0, 5.0, EAST + math.radians(0.4 * t))
+        step_update(session, own, [o.advanced(t) for o in obstacles])
+    cells = math.prod(session.layout.cards)
+    assert cells == 9_000_000
+    fan = los_candidates(session.own_state)
+    for lookahead in (30.0, 60.0, 120.0):
+        tracemalloc.start()
+        try:
+            score_candidates(session, fan, lookahead=lookahead)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < cells, (lookahead, peak)

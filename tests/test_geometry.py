@@ -357,6 +357,39 @@ def test_sector_empty_map_saturates():
     assert sector_ground_distance(0.0, 0.0, EAST, PolygonMap(rings=()), -0.1, 0.1) == math.inf
 
 
+def _densified_by_edge(ring: np.ndarray, spacing: float) -> np.ndarray:
+    """Reference densification: one edge, one step at a time."""
+    pts = []
+    for a, b in zip(ring[:-1], ring[1:]):
+        seg = b - a
+        steps = max(1, int(math.ceil(float(np.hypot(*seg)) / spacing)))
+        for k in range(steps):
+            pts.append(a + seg * (k / steps))
+    pts.append(ring[-1])
+    return np.asarray(pts)
+
+
+def test_densified_is_bit_identical_to_the_per_edge_loop():
+    rng = np.random.default_rng(47)
+    rings = []
+    for n in (1, 2, 3, 7, 60):
+        ring = rng.uniform(-500.0, 500.0, (n, 2)) * rng.uniform(0.01, 1.0)
+        if n > 2:  # zero-length edges: repeated points, inside and at the closure
+            ring[3 % n] = ring[2 % n]
+            ring[-1] = ring[-2]
+        rings.append(ring)
+    rings.append(square_ring(300.0, -200.0, 350.0))
+    pmap = PolygonMap(rings=tuple(rings))
+    for spacing in (3.0, 25.0, 333.3, 1e4):
+        dense = pmap.densified(spacing)
+        assert len(dense.rings) == len(rings)
+        for got, ring in zip(dense.rings, rings):
+            want = _densified_by_edge(ring, spacing)
+            assert got.shape == want.shape and np.array_equal(got, want)
+            assert np.array_equal(got[-1], ring[-1])
+    assert pmap.densified(1.0).crs == pmap.crs
+
+
 def test_grounding_sectors_match_brute_force_scan():
     rng = np.random.default_rng(41)
     ring = square_ring(300.0, -200.0, 350.0)
