@@ -1075,10 +1075,8 @@ def score_candidates(
         if key not in raw_by_states:
             values = _fold(layout, states, *latches)
             z_f = _factored_z_f(layout, weight, values)
-            v_side = np.asarray(values["ground_safe_side"], dtype=bool)
-            v_front = np.asarray(values["ground_safe_front"], dtype=bool)
-            z_s = float((dists["safe_ground_side"] * v_side).sum())
-            z_fr = float((dists["safe_ground_front"] * v_front).sum())
+            z_s = float((dists["safe_ground_side"] * values["ground_safe_side"]).sum())
+            z_fr = float((dists["safe_ground_front"] * values["ground_safe_front"]).sum())
             raw = rho_u + (1.0 - rho_u) * z_f * (rho_g + (1.0 - rho_g) * z_s * z_fr)
             raw_by_states[key] = 0.0 if raw < SCORE_FLOOR else raw
         raws.append(raw_by_states[key])
