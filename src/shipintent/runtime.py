@@ -49,9 +49,17 @@ and 135 MB); the prior stays one vector per root.  Every marginal and node
 expectation contracts a boolean joint against those vectors, which is
 variable elimination over a product-form prior (Koller & Friedman 2009,
 ch. 9-10): the joint is read as a matrix, ship views and compliance switches
-by thresholds, converted to float64 a row chunk at a time, and multiplied
-by the vectors of each block.  One pass gives the evidence mass and every
-root marginal, and the float scratch stays bounded whatever the ship count.
+by thresholds, and multiplied by the vectors of each block.  A step reads
+the frozen and live constraints once (:meth:`_Product.joint_sums`): block by
+block of whole rows, it ANDs them, converts the result to float64 once and
+takes from it the evidence mass, every root marginal and each exported
+node's posterior weight.  A node that spans the whole joint (``colav_ok``)
+is multiplied with the float block; one that does not span ``ample_time``
+(``nav_maneuver_ok``, ``evasive_ok``) meets the block after ``ample_time``
+is summed out, a tenth of the cells.  Each block of an operand is a view of
+it, so the pass builds no array over the joint: its scratch is a few
+block-sized buffers, about 1.2 MB whatever the ship count (see
+:data:`_CHUNK_CELLS`), plus one float per row for each sum it keeps.
 Nodes are looked up in their truth tables on the axes they actually depend
 on; only ``stands_on_ok`` and the nodes that read it span (nearly) the whole
 joint.
@@ -87,7 +95,7 @@ import hashlib
 import itertools
 import math
 from collections import ChainMap
-from collections.abc import Mapping, MutableMapping, Sequence
+from collections.abc import Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, replace
 from typing import Protocol
 
@@ -222,11 +230,14 @@ class ScoreResult:
 # Root-axis layout and per-slice messages
 # --------------------------------------------------------------------------
 
-# Joint cells per row chunk that a contraction converts to float64 (and per
-# chunk that a packed table lookup shifts).  A contraction chunk holds at
-# least one row, the bins**4 cells of the threshold block, so its float
-# scratch is max(_CHUNK_CELLS, bins**4) cells: 512 KiB whatever the ship
-# count up to 16 bins per threshold, one row beyond that.
+# Joint cells per block that a contraction converts to float64 (and per
+# chunk that a packed table lookup shifts).  A block holds whole rows, at
+# least one: the bins**4 cells of the threshold block, so it has at most
+# max(_CHUNK_CELLS, bins**4) cells.  The one-pass step sums hold three
+# buffers of that size, the boolean AND (one byte a cell), its float64 copy
+# and one float64 buffer the whole-joint nodes share, plus two float64
+# blocks with ample_time summed out (a bins-th of the cells each).  That is
+# about 1.2 MB whatever the ship count, up to 16 bins per threshold.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -235,9 +246,11 @@ class _Product:
 
     A dense boolean array over the joint is contracted against it as a
     matrix whose rows are the cells of the first ``split`` axes and whose
-    columns are the cells of the rest.  Rows are converted to float64 a chunk
-    of :data:`_CHUNK_CELLS` cells at a time, so no dense float joint is ever
-    built.
+    columns are the cells of the rest.  The rows are cut into blocks of about
+    :data:`_CHUNK_CELLS` cells, each converted to float64 on its own, so no
+    dense float joint is ever built.  A block fixes the leading row axes,
+    takes a run of the ``cut`` axis and every later axis whole, so the block
+    of an array that broadcasts over some axes is a view of it, never a copy.
     """
 
     def __init__(self, vecs: Sequence[np.ndarray], split: int) -> None:
@@ -246,46 +259,109 @@ class _Product:
         self.split = split
         self.rows = functools.reduce(np.multiply.outer, self.vecs[:split], np.ones(())).ravel()
         self.cols = functools.reduce(np.multiply.outer, self.vecs[split:], np.ones(())).ravel()
+        self.cut = next(
+            (j for j in range(split) if math.prod(self.shape[j + 1 :]) <= _CHUNK_CELLS), split - 1
+        )
+        tail = self.shape[self.cut + 1 :]
+        step = min(self.shape[self.cut], max(1, _CHUNK_CELLS // math.prod(tail)))
+        self.block_shape = (step, *tail)
 
-    def _sweep(self, arr: np.ndarray, with_cols: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """``arr @ cols`` per row and, optionally, ``rows @ arr`` per column."""
-        mat = np.broadcast_to(arr, self.shape).reshape(len(self.rows), len(self.cols))
-        step = max(1, _CHUNK_CELLS // mat.shape[1])
-        left = np.empty(mat.shape[0])
-        right = np.zeros(mat.shape[1]) if with_cols else None
-        for s in range(0, mat.shape[0], step):
-            chunk = mat[s : s + step].astype(np.float64)
-            left[s : s + step] = chunk @ self.cols
-            if right is not None:
-                right += self.rows[s : s + step] @ chunk
-        return left, right
+    def blocks(self) -> Iterator[tuple[tuple, slice]]:
+        """Each block's index (see :func:`_block`) and its span of :attr:`rows`, in row order."""
+        step = self.block_shape[0]
+        per_run = math.prod(self.shape[self.cut + 1 : self.split])
+        r0 = 0
+        for lead in np.ndindex(self.shape[: self.cut]):
+            for s in range(0, self.shape[self.cut], step):
+                run = slice(s, min(s + step, self.shape[self.cut]))
+                r1 = r0 + (run.stop - s) * per_run
+                yield (*lead, run), slice(r0, r1)
+                r0 = r1
 
     def expect(self, arr: np.ndarray) -> float:
         """Weighted sum of a boolean array laid out on the joint's axes.
 
         Axes of length one are those the array does not touch; they are
-        summed out of the weight instead of being broadcast.
+        summed out of the weight instead of being broadcast.  A large array
+        is contracted a block at a time, as the joint ``arr & arr``.
         """
         if arr.size > _CHUNK_CELLS:
-            left, _ = self._sweep(arr, with_cols=False)
-            return float(self.rows @ left)
+            return self.joint_sums(arr, arr, {})[0]
         out = np.asarray(arr, dtype=np.float64)
         for vec in reversed(self.vecs):
             out = out @ vec if out.shape[-1] > 1 else out[..., 0] * vec.sum()
         return float(out)
 
-    def masses(self, joint: np.ndarray) -> tuple[float, list[np.ndarray]]:
-        """Total weight of a boolean joint and its marginal weight on every axis."""
-        left, right = self._sweep(joint, with_cols=True)
-        z = float(self.rows @ left)
-        out: list[np.ndarray] = []
-        for block in (
+    def joint_sums(
+        self, a: np.ndarray, b: np.ndarray, arrays: Mapping[str, np.ndarray]
+    ) -> tuple[float, list[np.ndarray], dict[str, float], dict[str, float]]:
+        """Weights of the joint ``a & b`` and of every array in it, in one pass.
+
+        Returns the joint's total weight, its marginal weight on every axis,
+        and per array the weight of ``a & b & arr`` (posterior) and of
+        ``arr`` alone (prior).  Each block of ``a & b`` is ANDed into one
+        boolean scratch and converted to float64 once.  An array that spans
+        the first column axis is converted a block at a time too and
+        multiplied with the float block.  One that does not meets the block
+        after that axis is summed out, a tenth of the cells at ten bins; its
+        prior weight is a small contraction of its own (:meth:`expect`).
+        """
+        n_cols, n_first = len(self.cols), self.shape[self.split]
+        rest = functools.reduce(np.multiply.outer, self.vecs[self.split + 1 :], np.ones(())).ravel()
+        wide = [name for name, arr in arrays.items() if arr.shape[self.split] > 1]
+        narrow = [name for name in arrays if name not in wide]
+        reduced_shape = list(self.block_shape)
+        reduced_shape[self.split - self.cut] = 1
+        mask = np.empty(self.block_shape, dtype=bool)
+        buf, scratch = np.empty(self.block_shape), np.empty(self.block_shape)
+        reduced_scratch = np.empty(reduced_shape)
+        # Unweighted sums per row, weighted by the rows after the pass.
+        left, right = np.empty(len(self.rows)), np.zeros(n_cols)
+        prior = {name: np.empty(len(self.rows)) for name in wide}
+        post = {name: np.empty(len(self.rows)) for name in arrays}
+        for index, rows in self.blocks():
+            m = index[-1].stop - index[-1].start
+            np.logical_and(_block(a, index), _block(b, index), out=mask[:m])
+            block, tmp = buf[:m], scratch[:m]
+            np.copyto(block, mask[:m])
+            mat = block.reshape(-1, n_cols)
+            left[rows] = mat @ self.cols
+            right += self.rows[rows] @ mat
+            for name in wide:
+                np.copyto(tmp, _block(arrays[name], index))
+                prior[name][rows] = tmp.reshape(-1, n_cols) @ self.cols
+                np.multiply(tmp, block, out=tmp)
+                post[name][rows] = tmp.reshape(-1, n_cols) @ self.cols
+            if narrow:
+                summed = self.vecs[self.split] @ mat.reshape(-1, n_first, len(rest))
+                summed = summed.reshape(m, *reduced_shape[1:])
+                tmp = reduced_scratch[:m]
+                for name in narrow:
+                    np.multiply(summed, _block(arrays[name], index), out=tmp)
+                    post[name][rows] = tmp.reshape(-1, len(rest)) @ rest
+
+        marginals: list[np.ndarray] = []
+        for weights in (
             (self.rows * left).reshape(self.shape[: self.split]),
             (self.cols * right).reshape(self.shape[self.split :]),
         ):
-            for j in range(block.ndim):
-                out.append(block.sum(axis=tuple(k for k in range(block.ndim) if k != j)))
-        return z, out
+            for j in range(weights.ndim):
+                marginals.append(weights.sum(axis=tuple(k for k in range(weights.ndim) if k != j)))
+        prior_sums = {name: float(self.rows @ prior[name]) for name in wide}
+        prior_sums.update((name, self.expect(arrays[name])) for name in narrow)
+        post_sums = {name: float(self.rows @ per_row) for name, per_row in post.items()}
+        return float(self.rows @ left), marginals, post_sums, prior_sums
+
+
+def _block(arr: np.ndarray, index: tuple) -> np.ndarray:
+    """The view of ``arr`` at a :meth:`_Product.blocks` index.
+
+    ``arr`` has the joint's rank and broadcasts to it; its axes of length
+    one stay length one, so the view still broadcasts to the block.
+    """
+    *lead, run = index
+    pick = tuple(j if n > 1 else 0 for j, n in zip(lead, arr.shape))
+    return arr[(*pick, run if arr.shape[len(lead)] > 1 else slice(None))]
 
 
 class _Layout:
@@ -520,6 +596,16 @@ def _slice_message(
     return message, node_arrays
 
 
+def _ship_cap(layout: _Layout, values: Mapping[str, object], i: int, s: int) -> np.ndarray:
+    """Ship ``i``'s cap with ``stands_on_ok_i`` fixed to ``s``.
+
+    It spans the shared axes and ship ``i``'s own only.
+    """
+    scope = ChainMap({layout.stands_on[i - 1]: s}, values)
+    _evaluate(layout, layout.tails[i - 1], scope)
+    return _cap(scope, i)
+
+
 def _factored_z_f(
     layout: _Layout,
     weight: tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray],
@@ -543,12 +629,7 @@ def _factored_z_f(
     w_switch, w_ships, w_thr = weight
     n = layout.n_ships
     held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
-
-    def cap(i: int, s: int) -> np.ndarray:
-        scope = ChainMap({layout.stands_on[i - 1]: s}, values)
-        _evaluate(layout, layout.tails[i - 1], scope)
-        return _cap(scope, i)
-
+    cap = functools.partial(_ship_cap, layout, values)
     if held or n == 1:
         block = functools.reduce(
             np.multiply,
@@ -604,8 +685,9 @@ def _posterior_bundle(
     node_arrays: Mapping[str, np.ndarray],
 ) -> tuple[IntentionPosterior, dict[str, float]]:
     """Exact posteriors and live-node probabilities from the slice messages."""
-    joint = frozen_f & live.f_side
-    z_f, f_masses = layout.prior.masses(joint)
+    z_f, f_masses, post_sums, prior_sums = layout.prior.joint_sums(
+        frozen_f, live.f_side, node_arrays
+    )
 
     pi_s = layout.prior_vec["safe_ground_side"]
     pi_f = layout.prior_vec["safe_ground_front"]
@@ -638,10 +720,9 @@ def _posterior_bundle(
 
     node_probs: dict[str, float] = {}
     post_weight = a_g + a_s
-    for name, arr in node_arrays.items():
-        e_prior = layout.prior.expect(arr)
-        e_post = layout.prior.expect(joint & arr) / z_f if z_f > 0.0 else 0.0
-        node_probs[name] = _unit((a_u * e_prior + post_weight * e_post) / total)
+    for name in node_arrays:
+        e_post = post_sums[name] / z_f if z_f > 0.0 else 0.0
+        node_probs[name] = _unit((a_u * prior_sums[name] + post_weight * e_post) / total)
     s_live = float((pi_s * live.v_side).sum())
     f_live = float((pi_f * live.v_front).sum())
     node_probs["ground_safe_side"] = _unit(((a_u + a_g) * s_live + a_s) / total)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from pathlib import Path
 
@@ -10,8 +11,25 @@ import numpy as np
 
 from shipintent.bn import random_network  # noqa: F401  (re-exported for the tests)
 from shipintent.dataio import math_to_compass
+from shipintent.discretize import Discretization, IntentionPriors
 from shipintent.extract import Encounter
 from shipintent.geometry import ShipState, local_to_geo
+from shipintent.runtime import _Layout
+
+# Three bins per threshold keep the joint small enough to check at three ships.
+DISC3 = Discretization().with_bins(3)
+# Obstacle ships for multi-ship sessions, heading west, north and east.
+OBSTACLES = (
+    ShipState(0.0, 2500.0, 120.0, 4.0, math.pi),
+    ShipState(0.0, 1500.0, -2000.0, 5.0, math.pi / 2),
+    ShipState(0.0, -1500.0, 300.0, 7.0, 0.0),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def layout3(n_ships: int) -> _Layout:
+    """The ``DISC3`` layout at ``n_ships`` with default priors, built once per count."""
+    return _Layout(n_ships, IntentionPriors(), DISC3, None)
 
 
 def straight_track(

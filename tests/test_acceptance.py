@@ -381,7 +381,7 @@ def test_step_and_replay_meet_latency_budgets():
 
 def test_two_ship_step_meets_latency_budget():
     # Two obstacles at default bins (a 9e6-cell joint): one update plus
-    # scoring the default six-candidate fan must finish in under 2.5 s.
+    # scoring the default six-candidate fan must finish in under 1.0 s.
     own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     obstacles = [
         ShipState(0.0, 4000.0, 600.0, 4.0, math.pi),
@@ -393,7 +393,7 @@ def test_two_ship_step_meets_latency_budget():
     result = score_candidates(session, los_candidates(session.own_state))
     single = time.perf_counter() - start
     assert len(result.scores) == 6
-    assert single < 2.5
+    assert single < 1.0
 
 
 def test_grounding_on_a_warm_coast_index_meets_latency_budget():

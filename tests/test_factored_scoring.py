@@ -8,7 +8,6 @@ compiled tables, the factored weight against the full-joint contraction,
 and the memory that the factoring saves.
 """
 
-import functools
 import itertools
 import math
 import tracemalloc
@@ -18,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import DISC3, OBSTACLES, layout3
 from shipintent import nodes
-from shipintent.discretize import Discretization, IntentionPriors
 from shipintent.geometry import ShipState
 from shipintent.netbuild import measurement_variables
 from shipintent.nodes import SHIP_INTENTIONS, SHIP_MEASUREMENTS, model_node_specs, ship
@@ -27,8 +26,9 @@ from shipintent.runtime import (
     SlicePolicy,
     _factored_z_f,
     _fold,
-    _Layout,
+    _lookup,
     _Product,
+    _ship_cap,
     _slice_message,
     init_session,
     score_candidates,
@@ -36,18 +36,7 @@ from shipintent.runtime import (
 )
 from shipintent.trajgen import los_candidates
 
-EAST, NORTH, WEST = 0.0, math.pi / 2, math.pi
-DISC3 = Discretization().with_bins(3)
-OBSTACLES = (
-    ShipState(0.0, 2500.0, 120.0, 4.0, WEST),
-    ShipState(0.0, 1500.0, -2000.0, 5.0, NORTH),
-    ShipState(0.0, -1500.0, 300.0, 7.0, EAST),
-)
-
-
-@functools.lru_cache(maxsize=None)
-def layout3(n_ships):
-    return _Layout(n_ships, IntentionPriors(), DISC3, None)
+EAST = 0.0
 
 
 def owners(n_ships):
@@ -93,6 +82,28 @@ def test_stands_on_ok_table_is_course_held_or_giving_way_to_another(n_ships):
                 for k in range(len(others))
             ]
             assert table[idx] == (held[cic, cis] or any(gives_way)), idx
+
+
+@pytest.mark.parametrize("n_ships", [1, 2, 3])
+def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships):
+    # g_i forces evasive_ok_i, hence colav_ok_i, so cap_i(0) & g_i equals
+    # cap_i(1) & g_i and the per-ship sums T_i[1, 0] and T_i[1, 1] agree.
+    layout = layout3(n_ships)
+    rng = np.random.default_rng(n_ships)
+    variables = measurement_variables(n_ships, DISC3)
+    giving_way = 0
+    for _ in range(40):
+        states = {v.id: int(rng.integers(v.cardinality)) for v in variables}
+        for sa, pa in itertools.product((0, 1), repeat=2):
+            values = _fold(layout, states, sa, pa)
+            for i in range(1, n_ships + 1):
+                g = _lookup(
+                    layout.gives_way_table, [values[ship(b, i)] for b in nodes.GIVES_WAY_BASES]
+                )
+                caps = [_ship_cap(layout, values, i, s) & g for s in (0, 1)]
+                assert not np.any(caps[0] != caps[1]), (states, sa, pa, i)
+                giving_way += bool(np.any(caps[0]))
+    assert giving_way > 0
 
 
 def full_joint_z_f(layout, dists, states, sa, pa):
