@@ -65,6 +65,8 @@ from .nodes import course_held
 from .runtime import (
     ScoreResult,
     Session,
+    _cap,
+    _evaluate,
     _factored_z_f,
     _fold,
     _Product,
@@ -379,10 +381,17 @@ def _check_factored_scoring() -> str | None:
         states = measure_candidate(session, cand).as_states()
         for cic, cis in itertools.product(range(3), repeat=2):
             states.update(meas_course_change=cic, meas_speed_change=cis)
-            want = full.expect(_slice_message(layout, states, 0, 0)[0].f_side)
-            got = _factored_z_f(layout, weight, _fold(layout, states, 0, 0))
+            values = _fold(layout, states, 0, 0)
+            # The oracle: the coupled nodes looked up on the whole joint.
+            joint = dict(values)
+            _evaluate(layout, layout.coupled_specs, joint)
+            f_side = np.broadcast_to(np.logical_and(_cap(joint, 1), _cap(joint, 2)), layout.cards)
+            held = course_held(cic, cis)
+            live = _slice_message(layout, states, 0, 0)[0].f_side
+            if not np.array_equal(np.broadcast_to(live, layout.cards), f_side):
+                return f"{cand.label}, course held {held}: the live f_side differs"
+            got, want = _factored_z_f(layout, weight, values), full.expect(f_side)
             if abs(got - want) > 1e-12:
-                held = course_held(cic, cis)
                 return f"{cand.label}, course held {held}: |delta z_f|={abs(got - want):.2e}"
     return None
 
@@ -394,7 +403,7 @@ _CHECKS = (
     ("session matches single-network posterior", _check_dual_route),
     ("scoring leaves session state untouched", _check_retraction),
     ("indexed grounding matches the brute scan", _check_grounding_index),
-    ("factored scoring matches the full-joint contraction", _check_factored_scoring),
+    ("live slice and factored scoring match the full-joint fold", _check_factored_scoring),
 )
 
 

@@ -60,22 +60,29 @@ is summed out, a tenth of the cells.  Each block of an operand is a view of
 it, so the pass builds no array over the joint: its scratch is a few
 block-sized buffers, about 1.2 MB whatever the ship count (see
 :data:`_CHUNK_CELLS`), plus one float per row for each sum it keeps.
-Nodes are looked up in their truth tables on the axes they actually depend
-on; only ``stands_on_ok`` and the nodes that read it span (nearly) the whole
-joint.
 
-Scoring builds no array over more than one ship's axes.  ``stands_on_ok_i
-= C or OR_{j!=i} g_j`` is the only node that reads another ship's nodes
-(``C``: course straight and speed unchanged, observed; ``g_j``: giving way
-to ship j).  Fixed to 0 or 1, it leaves ship i's cap (``colav_ok_i or
-nav_maneuver_ok_i``) on the shared axes (compliance switches and
-thresholds, 4e4 cells) and ship i's own two, 6e5 cells.  Conditioning on
-the ``g`` bits thus turns the candidate's constraint into a sum of per-ship
-products: context-specific independence (Boutilier, Friedman, Goldszmidt &
-Koller, UAI 1996) used as cutset conditioning (Pearl 1988).  A candidate
-costs about ``n * 6e5`` cells instead of ``4e4 * 15**n``: when ``C``
-holds, or with one ship, one cap and one sum over its axes per ship;
-otherwise both caps and four sums.  At two ships the scratch stays under
+Nodes are looked up in their truth tables on the axes they actually depend
+on, and no lookup spans the joint.  ``stands_on_ok_i = C or OR_{j!=i} g_j``
+is the only node that reads another ship's nodes (``C``: course straight
+and speed unchanged, observed; ``g_j``: giving way to ship j).  Fixed to 0
+or 1, it leaves its readers, ``gives_way_ok_i`` and ``colav_ok_i``, and so
+ship i's cap (``colav_ok_i or nav_maneuver_ok_i``) on the shared axes
+(compliance switches and thresholds, 4e4 cells) and ship i's own two, 6e5
+cells: context-specific independence (Boutilier, Friedman, Goldszmidt &
+Koller, UAI 1996).  A step evaluates them that way.  When ``C`` holds, or
+with one ship, ``s = C`` for every ship, and the one array over the joint
+is ``f_side``, the AND of the caps.  Otherwise each ship's tail is
+evaluated at ``s = 0`` and ``s = 1`` and the joint-sized ``colav_ok_i``
+and cap take one or the other cell by cell, by ``OR_{j!=i} g_j``, in
+logical operations on one buffer; that adds one boolean joint per ship (9
+MB each at two ships).  See :func:`_slice_message`.
+
+Scoring builds no array over more than one ship's axes.  Conditioning on
+the ``g`` bits turns the candidate's constraint into a sum of per-ship
+products: the same independence, used as cutset conditioning (Pearl 1988).
+A candidate costs about ``n * 6e5`` cells instead of ``4e4 * 15**n``: when
+``C`` holds, or with one ship, one cap and one sum over its axes per ship;
+otherwise both caps and three sums.  At two ships the scratch stays under
 6 MB, where one boolean joint alone is 9 MB.  See :func:`_factored_z_f`.
 
 Grounding is measured for the live pose and for every candidate's lookahead
@@ -566,25 +573,79 @@ def _cap(values: Mapping[str, object], i: int) -> np.ndarray:
     return np.logical_or(values[ship("colav_ok", i)], values[ship("nav_maneuver_ok", i)])
 
 
+def _ship_tail(
+    layout: _Layout, values: Mapping[str, object], i: int, s: int
+) -> Mapping[str, object]:
+    """Ship ``i``'s tail nodes with ``stands_on_ok_i`` fixed to ``s``, over ``values``.
+
+    The tail (``layout.tails[i - 1]``: ``gives_way_ok_i``, ``colav_ok_i``)
+    then spans the shared axes and ship ``i``'s own only.  Its values go
+    into a scope of their own, so ``values`` is left as it was.
+    """
+    scope = ChainMap({layout.stands_on[i - 1]: s}, values)
+    _evaluate(layout, layout.tails[i - 1], scope)
+    return scope
+
+
+def _ship_cap(layout: _Layout, values: Mapping[str, object], i: int, s: int) -> np.ndarray:
+    """Ship ``i``'s cap with ``stands_on_ok_i`` fixed to ``s``, on ship ``i``'s axes."""
+    return _cap(_ship_tail(layout, values, i, s), i)
+
+
+def _gives_way(layout: _Layout, values: Mapping[str, object], i: int) -> np.ndarray:
+    """``g_i``: ship ``i`` is giving way (:func:`~shipintent.nodes.gives_way_to`)."""
+    return _lookup(layout.gives_way_table, [values[ship(b, i)] for b in nodes.GIVES_WAY_BASES])
+
+
+def _switch(s: np.ndarray, a0: np.ndarray, a1: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a0`` where ``s`` is false and ``a1`` where it holds, written into ``out``.
+
+    As ``a0 ^ (s & (a0 ^ a1))``: logical operations, which broadcast the
+    operands cell by cell into ``out`` with no temporary of its size.
+    """
+    np.logical_and(s, np.logical_xor(a0, a1), out=out)
+    return np.logical_xor(out, a0, out=out)
+
+
 def _slice_message(
     layout: _Layout, meas_states: Mapping[str, int], sa_in: int, pa_in: int
 ) -> tuple[_SliceMessage, dict[str, np.ndarray]]:
     """Fold one slice's observations into boolean root-space indicators.
 
-    The shared fold, then the coupled nodes on the whole layout joint.
-    Returns the message a slice keeps and the exported per-ship node
-    indicators, which only the step's posterior bundle reads.
+    The shared fold, then each ship's tail with ``stands_on_ok_i`` fixed to
+    a scalar (:func:`_ship_tail`).  When ``C`` holds, or with one ship,
+    every ``stands_on_ok_i`` is ``C``, so ``colav_ok_i`` stays on ship i's
+    axes.  Otherwise ``colav_ok_i`` and ship i's cap take their ``s = 0``
+    value where ``s_i = OR_{j!=i} g_j`` is false and their ``s = 1`` value
+    where it holds (:func:`_switch`), in one buffer over the joint.  No
+    truth table is looked up on the joint.  Returns the message a slice
+    keeps and the exported per-ship node indicators, which only the step's
+    posterior bundle reads.
     """
     values = _fold(layout, meas_states, sa_in, pa_in)
-    _evaluate(layout, layout.coupled_specs, values)
+    n = layout.n_ships
+    held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
+    if held or n == 1:
+        for i in range(1, n + 1):
+            colav = ship("colav_ok", i)
+            values[colav] = _ship_tail(layout, values, i, held)[colav]
+        f_side = functools.reduce(np.logical_and, (_cap(values, i) for i in range(1, n + 1)))
+    else:
+        g = [_gives_way(layout, values, i) for i in range(1, n + 1)]
+        f_side = np.ones(layout.cards, dtype=bool)
+        for i in range(1, n + 1):
+            s_i = functools.reduce(np.logical_or, g[: i - 1] + g[i:])
+            tails = [_ship_tail(layout, values, i, s) for s in (0, 1)]
+            # cap_i, then colav_i in the same buffer: no temporary over the joint.
+            out = np.empty(layout.cards, dtype=bool)
+            f_side &= _switch(s_i, *(_cap(t, i) for t in tails), out=out)
+            colav = ship("colav_ok", i)
+            values[colav] = _switch(s_i, *(t[colav] for t in tails), out=out)
     node_arrays = {
         ship(base, i): np.asarray(values[ship(base, i)], dtype=bool)
-        for i in range(1, layout.n_ships + 1)
+        for i in range(1, n + 1)
         for base in _EXPORT_BASES
     }
-    f_side = functools.reduce(
-        np.logical_and, (_cap(node_arrays, i) for i in range(1, layout.n_ships + 1))
-    )
     message = _SliceMessage(
         f_side=f_side,
         v_side=np.asarray(values["ground_safe_side"], dtype=bool),
@@ -594,16 +655,6 @@ def _slice_message(
         turned_port=int(values["turned_port"]),
     )
     return message, node_arrays
-
-
-def _ship_cap(layout: _Layout, values: Mapping[str, object], i: int, s: int) -> np.ndarray:
-    """Ship ``i``'s cap with ``stands_on_ok_i`` fixed to ``s``.
-
-    It spans the shared axes and ship ``i``'s own only.
-    """
-    scope = ChainMap({layout.stands_on[i - 1]: s}, values)
-    _evaluate(layout, layout.tails[i - 1], scope)
-    return _cap(scope, i)
 
 
 def _factored_z_f(
@@ -623,8 +674,10 @@ def _factored_z_f(
     ``f_side = OR_b AND_i [cap_i(C or OR_{j!=i} b_j) and g_i == b_i]`` and its
     weight is the shared-block contraction of ``sum_b prod_i T_i[b_i, s_i]``,
     where ``T_i[b, s]`` sums ``cap_i(s) and g_i == b`` over ship i's axes.
-    When ``C`` holds, or with one ship, ``s`` does not depend on ``b`` and
-    the pattern sum is ``prod_i`` of ship i's sum of ``cap_i(s)``.
+    ``g_i`` forces ``colav_ok_i`` whatever ``s`` is, so ``T_i[1, 0] ==
+    T_i[1, 1]`` and three sums per ship do.  When ``C`` holds, or with one
+    ship, ``s`` does not depend on ``b`` and the pattern sum is ``prod_i`` of
+    ship i's sum of ``cap_i(s)``.
     """
     w_switch, w_ships, w_thr = weight
     n = layout.n_ships
@@ -638,11 +691,11 @@ def _factored_z_f(
     else:
         sums = []  # sums[i - 1][b][s] = T_i[b, s]
         for i in range(1, n + 1):
-            g = _lookup(layout.gives_way_table, [values[ship(b, i)] for b in nodes.GIVES_WAY_BASES])
-            caps = (cap(i, False), cap(i, True))
-            sums.append(
-                [[layout.ship_sums(c & (g == b), i, w_ships[i - 1]) for c in caps] for b in (0, 1)]
-            )
+            g = _gives_way(layout, values, i)
+            c1 = cap(i, True)
+            giving_way = layout.ship_sums(c1 & g, i, w_ships[i - 1])
+            other = [layout.ship_sums(c & (g == 0), i, w_ships[i - 1]) for c in (cap(i, False), c1)]
+            sums.append([other, [giving_way, giving_way]])
         block = sum(
             functools.reduce(
                 np.multiply,

@@ -8,12 +8,15 @@ import math
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
+from shipintent import nodes
 from shipintent.bn import random_network  # noqa: F401  (re-exported for the tests)
 from shipintent.dataio import math_to_compass
 from shipintent.discretize import Discretization, IntentionPriors
 from shipintent.extract import Encounter
 from shipintent.geometry import ShipState, local_to_geo
+from shipintent.netbuild import measurement_variables
 from shipintent.runtime import _Layout
 
 # Three bins per threshold keep the joint small enough to check at three ships.
@@ -30,6 +33,26 @@ OBSTACLES = (
 def layout3(n_ships: int) -> _Layout:
     """The ``DISC3`` layout at ``n_ships`` with default priors, built once per count."""
     return _Layout(n_ships, IntentionPriors(), DISC3, None)
+
+
+def draw_slice(data, n_ships: int) -> tuple[dict[str, int], int, int]:
+    """A hypothesis-drawn ``DISC3`` measurement vector and latch carries.
+
+    Course held (straight, speed unchanged) is drawn half the time, so both
+    branches of ``stands_on_ok_i = C or OR_{j!=i} g_j`` come up.
+    """
+    states = {
+        v.id: data.draw(st.integers(0, v.cardinality - 1), label=v.id)
+        for v in measurement_variables(n_ships, DISC3)
+    }
+    if data.draw(st.booleans(), label="course_held"):
+        cic, cis = nodes.STRAIGHT, nodes.NONE
+    else:
+        changes = [(c, s) for c in range(3) for s in range(3) if not nodes.course_held(c, s)]
+        cic, cis = data.draw(st.sampled_from(changes), label="course_change")
+    states.update(meas_course_change=cic, meas_speed_change=cis)
+    sa, pa = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)), label="latches")
+    return states, sa, pa
 
 
 def straight_track(

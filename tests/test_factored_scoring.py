@@ -17,8 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DISC3, OBSTACLES, layout3
-from shipintent import nodes
+import dense_oracle
+from helpers import DISC3, OBSTACLES, draw_slice, layout3
+from shipintent.discretize import Discretization, IntentionPriors
 from shipintent.geometry import ShipState
 from shipintent.netbuild import measurement_variables
 from shipintent.nodes import SHIP_INTENTIONS, SHIP_MEASUREMENTS, model_node_specs, ship
@@ -26,10 +27,10 @@ from shipintent.runtime import (
     SlicePolicy,
     _factored_z_f,
     _fold,
-    _lookup,
+    _gives_way,
+    _Layout,
     _Product,
     _ship_cap,
-    _slice_message,
     init_session,
     score_candidates,
     step_update,
@@ -84,22 +85,25 @@ def test_stands_on_ok_table_is_course_held_or_giving_way_to_another(n_ships):
             assert table[idx] == (held[cic, cis] or any(gives_way)), idx
 
 
-@pytest.mark.parametrize("n_ships", [1, 2, 3])
-def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships):
+@pytest.mark.parametrize(
+    "n_ships, disc, n_vectors",
+    [(1, DISC3, 40), (2, DISC3, 40), (3, DISC3, 40), (2, Discretization(), 4)],
+    ids=["1", "2", "3", "2-default-bins"],
+)
+def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships, disc, n_vectors):
     # g_i forces evasive_ok_i, hence colav_ok_i, so cap_i(0) & g_i equals
-    # cap_i(1) & g_i and the per-ship sums T_i[1, 0] and T_i[1, 1] agree.
-    layout = layout3(n_ships)
+    # cap_i(1) & g_i and the per-ship sums T_i[1, 0] and T_i[1, 1] agree:
+    # _factored_z_f takes one sum for both.
+    layout = _Layout(n_ships, IntentionPriors(), disc, None)
     rng = np.random.default_rng(n_ships)
-    variables = measurement_variables(n_ships, DISC3)
+    variables = measurement_variables(n_ships, disc)
     giving_way = 0
-    for _ in range(40):
+    for _ in range(n_vectors):
         states = {v.id: int(rng.integers(v.cardinality)) for v in variables}
         for sa, pa in itertools.product((0, 1), repeat=2):
             values = _fold(layout, states, sa, pa)
             for i in range(1, n_ships + 1):
-                g = _lookup(
-                    layout.gives_way_table, [values[ship(b, i)] for b in nodes.GIVES_WAY_BASES]
-                )
+                g = _gives_way(layout, values, i)
                 caps = [_ship_cap(layout, values, i, s) & g for s in (0, 1)]
                 assert not np.any(caps[0] != caps[1]), (states, sa, pa, i)
                 giving_way += bool(np.any(caps[0]))
@@ -107,15 +111,8 @@ def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships):
 
 
 def full_joint_z_f(layout, dists, states, sa, pa):
-    msg, _ = _slice_message(layout, states, sa, pa)
-    return _Product([dists[r] for r in layout.f_roots], layout.prior.split).expect(msg.f_side)
-
-
-NOT_HELD = [
-    (cic, cis)
-    for cic, cis in itertools.product(range(3), repeat=2)
-    if not (cic == nodes.STRAIGHT and cis == nodes.NONE)
-]
+    f_side = dense_oracle.fold(layout, states, sa, pa)["f_side"]
+    return _Product([dists[r] for r in layout.f_roots], layout.prior.split).expect(f_side)
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,22 +120,15 @@ NOT_HELD = [
 def test_factored_z_f_matches_the_full_joint_contraction(data):
     n_ships = data.draw(st.integers(1, 3), label="n_ships")
     layout = layout3(n_ships)
-    states = {
-        v.id: data.draw(st.integers(0, v.cardinality - 1), label=v.id)
-        for v in measurement_variables(n_ships, DISC3)
-    }
-    if data.draw(st.booleans(), label="course_held"):
-        cic, cis = nodes.STRAIGHT, nodes.NONE
-    else:
-        cic, cis = data.draw(st.sampled_from(NOT_HELD), label="course_change")
-    states.update(meas_course_change=cic, meas_speed_change=cis)
-    sa, pa = data.draw(st.tuples(st.integers(0, 1), st.integers(0, 1)), label="latches")
-    dists = {
-        root: np.asarray(
-            data.draw(st.lists(st.floats(0.0, 1.0), min_size=card, max_size=card), label=root)
+    states, sa, pa = draw_slice(data, n_ships)
+    # Each root's weights sum to one, as virtual evidence does in scoring:
+    # z_f then stays in [0, 1], where 1e-12 is thousands of ulps.
+    dists = {}
+    for root, card in zip(layout.f_roots, layout.cards):
+        vec = data.draw(
+            st.lists(st.floats(0.0, 1.0), min_size=card, max_size=card).filter(any), label=root
         )
-        for root, card in zip(layout.f_roots, layout.cards)
-    }
+        dists[root] = np.asarray(vec) / math.fsum(vec)
 
     want = full_joint_z_f(layout, dists, states, sa, pa)
     got = _factored_z_f(layout, layout.factor_weight(dists), _fold(layout, states, sa, pa))

@@ -1,9 +1,12 @@
-"""A step reads the two-ship joint once, and that pass is exact.
+"""A step folds the live slice ship by ship and reads the joint once, exactly.
 
-``_posterior_bundle`` takes every root marginal and exported node
-probability from one blocked pass over ``frozen & live`` (see
-``_Product.joint_sums``).  These tests pin that pass against the separate
-contractions it replaced, and pin the memory it saves.
+``_slice_message`` evaluates each ship's coupled nodes with
+``stands_on_ok_i`` fixed to a scalar and builds only ``colav_ok_i`` and
+``f_side`` over the joint.  ``_posterior_bundle`` takes every root marginal
+and exported node probability from one blocked pass over ``frozen & live``
+(see ``_Product.joint_sums``).  These tests pin the message against the
+dense fold, the pass against the separate contractions it replaced, and
+the memory both save.
 """
 
 import functools
@@ -15,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import DISC3, OBSTACLES, layout3
+import dense_oracle
+from helpers import DISC3, OBSTACLES, draw_slice, layout3
+from shipintent import nodes
 from shipintent.geometry import ShipState
 from shipintent.netbuild import measurement_variables
 from shipintent.runtime import (
@@ -27,6 +32,49 @@ from shipintent.runtime import (
 )
 
 EAST = 0.0
+
+
+@pytest.mark.parametrize("n_ships", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_slice_message_matches_the_dense_fold(n_ships, data):
+    layout = layout3(n_ships)
+    states, sa, pa = draw_slice(data, n_ships)
+    message, arrays = _slice_message(layout, states, sa, pa)
+    want = dense_oracle.fold(layout, states, sa, pa)
+
+    assert np.array_equal(np.broadcast_to(message.f_side, layout.cards), want["f_side"])
+    assert list(arrays) == list(want["node_arrays"])
+    for name, arr in want["node_arrays"].items():
+        got = np.broadcast_to(arrays[name], layout.cards)
+        assert np.array_equal(got, np.broadcast_to(arr, layout.cards)), name
+    assert np.array_equal(message.v_side, want["v_side"])
+    assert np.array_equal(message.v_front, want["v_front"])
+    assert (message.nav_maneuver, message.turned_sb, message.turned_port) == (
+        want["nav_maneuver"],
+        want["turned_sb"],
+        want["turned_port"],
+    )
+
+
+def test_course_held_message_builds_one_full_joint_array():
+    # Default bins, two ships, course held: every stands_on_ok_i is C, so
+    # only f_side spans the 9e6-cell joint.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    session = init_session(own0, OBSTACLES[:2])
+    layout = session.layout
+    cells = math.prod(layout.cards)
+    assert cells == 9_000_000
+    states = session.last_record.measurements.as_states()
+    states.update(meas_course_change=nodes.STRAIGHT, meas_speed_change=nodes.NONE)
+    tracemalloc.start()
+    try:
+        message, _ = _slice_message(layout, states, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert message.f_side.any()
+    assert peak < 2 * cells, peak
 
 
 def separate_sums(prior, a, b, arrays):
