@@ -69,21 +69,22 @@ or 1, it leaves its readers, ``gives_way_ok_i`` and ``colav_ok_i``, and so
 ship i's cap (``colav_ok_i or nav_maneuver_ok_i``) on the shared axes
 (compliance switches and thresholds, 4e4 cells) and ship i's own two, 6e5
 cells: context-specific independence (Boutilier, Friedman, Goldszmidt &
-Koller, UAI 1996).  A step evaluates them that way.  When ``C`` holds, or
-with one ship, ``s = C`` for every ship, and the one array over the joint
-is ``f_side``, the AND of the caps.  Otherwise each ship's tail is
+Koller, UAI 1996).  As ``g_i`` makes ship i's tail ignore it, every ship
+reads one shared switch, ``C or G`` with ``G = OR_j g_j``.  When ``C``
+holds, or with one ship, the switch is ``C``, and the one array over the
+joint is ``f_side``, the AND of the caps.  Otherwise each ship's tail is
 evaluated at ``s = 0`` and ``s = 1`` and the joint-sized ``colav_ok_i``
-and cap take one or the other cell by cell, by ``OR_{j!=i} g_j``, in
-logical operations on one buffer; that adds one boolean joint per ship (9
-MB each at two ships).  See :func:`_slice_message`.
+and cap take one or the other cell by cell, by ``G``, in logical
+operations on one buffer; that adds one boolean joint per ship (9 MB each
+at two ships).  See :func:`_slice_message`.
 
-Scoring builds no array over more than one ship's axes.  Conditioning on
-the ``g`` bits turns the candidate's constraint into a sum of per-ship
-products: the same independence, used as cutset conditioning (Pearl 1988).
-A candidate costs about ``n * 6e5`` cells instead of ``4e4 * 15**n``: when
-``C`` holds, or with one ship, one cap and one sum over its axes per ship;
-otherwise both caps and three sums.  At two ships the scratch stays under
-6 MB, where one boolean joint alone is 9 MB.  See :func:`_factored_z_f`.
+Scoring builds no array over more than one ship's axes: ``not G = AND_i
+not g_i`` splits ship by ship, so a candidate's weight is a closed form in
+per-ship sums.  A candidate costs about ``n * 6e5`` cells instead of
+``4e4 * 15**n``: when ``C`` holds, or with one ship, one cap and one sum
+over its axes per ship; otherwise both caps and three sums.  At two ships
+the scratch stays under 6 MB, where one boolean joint alone is 9 MB.  See
+:func:`_factored_z_f`.
 
 Grounding is measured for the live pose and for every candidate's lookahead
 pose, so a step on a large hazard map measures seven poses.  Each pose scans
@@ -99,7 +100,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 from collections import ChainMap
 from collections.abc import Iterator, Mapping, MutableMapping, Sequence
@@ -616,11 +616,12 @@ def _slice_message(
     a scalar (:func:`_ship_tail`).  When ``C`` holds, or with one ship,
     every ``stands_on_ok_i`` is ``C``, so ``colav_ok_i`` stays on ship i's
     axes.  Otherwise ``colav_ok_i`` and ship i's cap take their ``s = 0``
-    value where ``s_i = OR_{j!=i} g_j`` is false and their ``s = 1`` value
-    where it holds (:func:`_switch`), in one buffer over the joint.  No
-    truth table is looked up on the joint.  Returns the message a slice
-    keeps and the exported per-ship node indicators, which only the step's
-    posterior bundle reads.
+    value where ``G = OR_j g_j`` is false and their ``s = 1`` value where it
+    holds (:func:`_switch`), in one buffer over the joint.  ``G`` differs
+    from ``OR_{j!=i} g_j`` only where ``g_i`` holds, which ship i's tail
+    ignores.  No truth table is looked up on the joint.  Returns the message
+    a slice keeps and the exported per-ship node indicators, which only the
+    step's posterior bundle reads.
     """
     values = _fold(layout, meas_states, sa_in, pa_in)
     n = layout.n_ships
@@ -631,16 +632,16 @@ def _slice_message(
             values[colav] = _ship_tail(layout, values, i, held)[colav]
         f_side = functools.reduce(np.logical_and, (_cap(values, i) for i in range(1, n + 1)))
     else:
-        g = [_gives_way(layout, values, i) for i in range(1, n + 1)]
+        g = (_gives_way(layout, values, i) for i in range(1, n + 1))
+        s = functools.reduce(np.logical_or, g)
         f_side = np.ones(layout.cards, dtype=bool)
         for i in range(1, n + 1):
-            s_i = functools.reduce(np.logical_or, g[: i - 1] + g[i:])
-            tails = [_ship_tail(layout, values, i, s) for s in (0, 1)]
+            tails = [_ship_tail(layout, values, i, fixed) for fixed in (0, 1)]
             # cap_i, then colav_i in the same buffer: no temporary over the joint.
             out = np.empty(layout.cards, dtype=bool)
-            f_side &= _switch(s_i, *(_cap(t, i) for t in tails), out=out)
+            f_side &= _switch(s, *(_cap(t, i) for t in tails), out=out)
             colav = ship("colav_ok", i)
-            values[colav] = _switch(s_i, *(t[colav] for t in tails), out=out)
+            values[colav] = _switch(s, *(t[colav] for t in tails), out=out)
     node_arrays = {
         ship(base, i): np.asarray(values[ship(base, i)], dtype=bool)
         for i in range(1, n + 1)
@@ -669,15 +670,15 @@ def _factored_z_f(
     :func:`~shipintent.nodes.course_held` and ``g_j`` =
     :func:`~shipintent.nodes.gives_way_to` of ship j's nodes.  With it fixed
     to a value ``s``, ship i's ``cap_i(s)`` spans the shared axes and ship
-    i's own only.  The patterns ``b`` of the ``g`` bits partition the joint,
-    and within one pattern every ``stands_on_ok_i`` is fixed, so
-    ``f_side = OR_b AND_i [cap_i(C or OR_{j!=i} b_j) and g_i == b_i]`` and its
-    weight is the shared-block contraction of ``sum_b prod_i T_i[b_i, s_i]``,
-    where ``T_i[b, s]`` sums ``cap_i(s) and g_i == b`` over ship i's axes.
-    ``g_i`` forces ``colav_ok_i`` whatever ``s`` is, so ``T_i[1, 0] ==
-    T_i[1, 1]`` and three sums per ship do.  When ``C`` holds, or with one
-    ship, ``s`` does not depend on ``b`` and the pattern sum is ``prod_i`` of
-    ship i's sum of ``cap_i(s)``.
+    i's own only.  When ``C`` holds, or with one ship, ``s = C`` for every
+    ship and the weight is the shared-block contraction of ``prod_i`` of
+    ship i's sum of ``cap_i(C)``.  Otherwise every ship reads one switch,
+    ``G = OR_j g_j`` (see :func:`_slice_message`), and ``f_side`` is
+    ``AND_i cap_i(1)`` where ``G`` holds and ``AND_i cap_i(0)`` where it
+    fails.  ``not G = AND_i not g_i`` splits ship by ship, so per shared
+    cell the weight is ``prod_i C_i - prod_i N_i(1) + prod_i N_i(0)``, with
+    ``C_i`` ship i's sum of ``cap_i(1)`` and ``N_i(s)`` its sum of
+    ``cap_i(s) and not g_i``: three sums per ship.
     """
     w_switch, w_ships, w_thr = weight
     n = layout.n_ships
@@ -689,29 +690,21 @@ def _factored_z_f(
             (layout.ship_sums(cap(i, held), i, w_ships[i - 1]) for i in range(1, n + 1)),
         )
     else:
-        sums = []  # sums[i - 1][b][s] = T_i[b, s]
+        sums = []  # per ship: C_i, N_i(1), N_i(0)
         for i in range(1, n + 1):
-            g = _gives_way(layout, values, i)
+            not_g = np.logical_not(_gives_way(layout, values, i))
             c1 = cap(i, True)
-            giving_way = layout.ship_sums(c1 & g, i, w_ships[i - 1])
-            other = [layout.ship_sums(c & (g == 0), i, w_ships[i - 1]) for c in (cap(i, False), c1)]
-            sums.append([other, [giving_way, giving_way]])
-        block = sum(
-            functools.reduce(
-                np.multiply,
-                (sums[i][b[i]][any(b[:i] + b[i + 1 :])] for i in range(n)),
-            )
-            for b in itertools.product((0, 1), repeat=n)
-        )
+            caps = (c1, c1 & not_g, cap(i, False) & not_g)
+            sums.append([layout.ship_sums(c, i, w_ships[i - 1]) for c in caps])
+        every, none1, none0 = (functools.reduce(np.multiply, col) for col in zip(*sums))
+        block = every - none1 + none0
     return float(w_switch @ block @ w_thr)
 
 
 def _branch_masses(
-    layout: _Layout, z_f: float, z_s: float, z_fr: float
+    p_u: float, p_g: float, z_f: float, z_s: float, z_fr: float
 ) -> tuple[float, float, float]:
     """Evidence mass of the three branches: unmodeled / ground / modelled."""
-    p_u = float(layout.prior_vec["unmodeled"][1])
-    p_g = float(layout.prior_vec["ground_intent"][1])
     a_u = p_u
     a_g = (1.0 - p_u) * z_f * p_g
     a_s = (1.0 - p_u) * z_f * (1.0 - p_g) * z_s * z_fr
@@ -750,7 +743,7 @@ def _posterior_bundle(
 
     p_u = float(layout.prior_vec["unmodeled"][1])
     p_g = float(layout.prior_vec["ground_intent"][1])
-    a_u, a_g, a_s = _branch_masses(layout, z_f, z_s, z_fr)
+    a_u, a_g, a_s = _branch_masses(p_u, p_g, z_f, z_s, z_fr)
     total = a_u + a_g + a_s
     if total <= 0.0:
         raise ContradictionError(
@@ -1211,7 +1204,7 @@ def score_candidates(
             z_f = _factored_z_f(layout, weight, values)
             z_s = float((dists["safe_ground_side"] * values["ground_safe_side"]).sum())
             z_fr = float((dists["safe_ground_front"] * values["ground_safe_front"]).sum())
-            raw = rho_u + (1.0 - rho_u) * z_f * (rho_g + (1.0 - rho_g) * z_s * z_fr)
+            raw = sum(_branch_masses(rho_u, rho_g, z_f, z_s, z_fr))
             raw_by_states[key] = 0.0 if raw < SCORE_FLOOR else raw
         raws.append(raw_by_states[key])
         vectors.append(meas)

@@ -2,10 +2,11 @@
 
 ``stands_on_ok_i = C or OR_{j!=i} g_j`` is the only node that couples the
 obstacle ships (``C``: course straight and speed unchanged; ``g_j``: giving
-way to ship j).  Scoring splits on the ``g`` bits and sums per-ship products
-instead of folding the whole joint, so these tests pin the assumption in the
-compiled tables, the factored weight against the full-joint contraction,
-and the memory that the factoring saves.
+way to ship j).  ``g_i`` makes ship i's tail ignore ``stands_on_ok_i``, so
+every ship may read one shared switch ``C or OR_j g_j``, and scoring sums
+per-ship products in closed form instead of folding the whole joint.  These
+tests pin both assumptions in the compiled tables, the factored weight
+against the full-joint contraction, and the memory that the factoring saves.
 """
 
 import itertools
@@ -31,6 +32,7 @@ from shipintent.runtime import (
     _Layout,
     _Product,
     _ship_cap,
+    _ship_tail,
     init_session,
     score_candidates,
     step_update,
@@ -91,9 +93,11 @@ def test_stands_on_ok_table_is_course_held_or_giving_way_to_another(n_ships):
     ids=["1", "2", "3", "2-default-bins"],
 )
 def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships, disc, n_vectors):
-    # g_i forces evasive_ok_i, hence colav_ok_i, so cap_i(0) & g_i equals
-    # cap_i(1) & g_i and the per-ship sums T_i[1, 0] and T_i[1, 1] agree:
-    # _factored_z_f takes one sum for both.
+    # g_i forces evasive_ok_i, hence colav_ok_i, so colav_ok_i and cap_i
+    # agree at stands_on_ok_i = 0 and 1 wherever g_i holds.  That is why every
+    # ship may read the shared switch OR_j g_j, ship i's own g_i included:
+    # the step switches its exported colav_ok_i and cap_i on it, and
+    # _factored_z_f sums them in closed form.
     layout = _Layout(n_ships, IntentionPriors(), disc, None)
     rng = np.random.default_rng(n_ships)
     variables = measurement_variables(n_ships, disc)
@@ -106,6 +110,8 @@ def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships, disc, n_vectors):
                 g = _gives_way(layout, values, i)
                 caps = [_ship_cap(layout, values, i, s) & g for s in (0, 1)]
                 assert not np.any(caps[0] != caps[1]), (states, sa, pa, i)
+                colav = [_ship_tail(layout, values, i, s)[ship("colav_ok", i)] & g for s in (0, 1)]
+                assert not np.any(colav[0] != colav[1]), (states, sa, pa, i)
                 giving_way += bool(np.any(caps[0]))
     assert giving_way > 0
 
@@ -115,10 +121,10 @@ def full_joint_z_f(layout, dists, states, sa, pa):
     return _Product([dists[r] for r in layout.f_roots], layout.prior.split).expect(f_side)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_factored_z_f_matches_the_full_joint_contraction(data):
-    n_ships = data.draw(st.integers(1, 3), label="n_ships")
+@pytest.mark.parametrize("n_ships", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_factored_z_f_matches_the_full_joint_contraction(n_ships, data):
     layout = layout3(n_ships)
     states, sa, pa = draw_slice(data, n_ships)
     # Each root's weights sum to one, as virtual evidence does in scoring:
