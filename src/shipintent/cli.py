@@ -22,6 +22,7 @@ configuration), and 2 when observations contradict the model.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import os
@@ -66,10 +67,10 @@ from .runtime import (
     ScoreResult,
     Session,
     _cap,
+    _dense,
     _evaluate,
     _factored_z_f,
     _fold,
-    _Product,
     _slice_message,
     _virtual_root_dists,
     init_session,
@@ -374,7 +375,7 @@ def _check_factored_scoring() -> str | None:
     session = init_session(own, obstacles, disc=Discretization().with_bins(3))
     layout = session.layout
     dists = _virtual_root_dists(layout, session.last_record.posterior)
-    full = _Product([dists[root] for root in layout.f_roots], layout.prior.split)
+    full = functools.reduce(np.multiply.outer, [dists[root] for root in layout.f_roots])
     weight = layout.factor_weight(dists)
     # Every course/speed change for every candidate: both branches of course_held.
     for cand in los_candidates(own, LosParams()):
@@ -387,10 +388,10 @@ def _check_factored_scoring() -> str | None:
             _evaluate(layout, layout.coupled_specs, joint)
             f_side = np.broadcast_to(np.logical_and(_cap(joint, 1), _cap(joint, 2)), layout.cards)
             held = course_held(cic, cis)
-            live = _slice_message(layout, states, 0, 0)[0].f_side
-            if not np.array_equal(np.broadcast_to(live, layout.cards), f_side):
-                return f"{cand.label}, course held {held}: the live f_side differs"
-            got, want = _factored_z_f(layout, weight, values), full.expect(f_side)
+            live = _dense(layout, _slice_message(layout, states, 0, 0)[0].caps)
+            if not np.array_equal(live, f_side):
+                return f"{cand.label}, course held {held}: the live slice's pieces differ"
+            got, want = _factored_z_f(layout, weight, values), float((full * f_side).sum())
             if abs(got - want) > 1e-12:
                 return f"{cand.label}, course held {held}: |delta z_f|={abs(got - want):.2e}"
     return None

@@ -43,48 +43,56 @@ Cost and memory
 Each obstacle ship adds a priority and a situation-view root, so the joint
 over the collision-avoidance roots grows by a factor of 15 per ship: 6e5
 cells at one obstacle, 9e6 at two and 1.35e8 at three with the default ten
-bins per threshold.  A step keeps booleans dense over it (the frozen
-constraint and the live slice's constraint, one byte a cell: 0.6 MB, 9 MB
-and 135 MB); the prior stays one vector per root.  Every marginal and node
-expectation contracts a boolean joint against those vectors, which is
-variable elimination over a product-form prior (Koller & Friedman 2009,
-ch. 9-10): the joint is read as a matrix, ship views and compliance switches
-by thresholds, and multiplied by the vectors of each block.  A step reads
-the frozen and live constraints once (:meth:`_Product.joint_sums`): block by
-block of whole rows, it ANDs them, converts the result to float64 once and
-takes from it the evidence mass, every root marginal and each exported
-node's posterior weight.  A node that spans the whole joint (``colav_ok``)
-is multiplied with the float block; one that does not span ``ample_time``
-(``nav_maneuver_ok``, ``evasive_ok``) meets the block after ``ample_time``
-is summed out, a tenth of the cells.  Each block of an operand is a view of
-it, so the pass builds no array over the joint: its scratch is a few
-block-sized buffers, about 1.2 MB whatever the ship count (see
-:data:`_CHUNK_CELLS`), plus one float per row for each sum it keeps.
+bins per threshold.  The prior stays one vector per root, and while few
+slices couple the ships no step builds an array over the joint.
 
 Nodes are looked up in their truth tables on the axes they actually depend
-on, and no lookup spans the joint.  ``stands_on_ok_i = C or OR_{j!=i} g_j``
-is the only node that reads another ship's nodes (``C``: course straight
-and speed unchanged, observed; ``g_j``: giving way to ship j).  Fixed to 0
-or 1, it leaves its readers, ``gives_way_ok_i`` and ``colav_ok_i``, and so
-ship i's cap (``colav_ok_i or nav_maneuver_ok_i``) on the shared axes
-(compliance switches and thresholds, 4e4 cells) and ship i's own two, 6e5
-cells: context-specific independence (Boutilier, Friedman, Goldszmidt &
-Koller, UAI 1996).  As ``g_i`` makes ship i's tail ignore it, every ship
-reads one shared switch, ``C or G`` with ``G = OR_j g_j``.  When ``C``
-holds, or with one ship, the switch is ``C``, and the one array over the
-joint is ``f_side``, the AND of the caps.  Otherwise each ship's tail is
-evaluated at ``s = 0`` and ``s = 1`` and the joint-sized ``colav_ok_i``
-and cap take one or the other cell by cell, by ``G``, in logical
-operations on one buffer; that adds one boolean joint per ship (9 MB each
-at two ships).  See :func:`_slice_message`.
+on.  ``stands_on_ok_i = C or OR_{j!=i} g_j`` is the only node that reads
+another ship's nodes (``C``: course straight and speed unchanged, observed;
+``g_j``: giving way to ship j).  Fixed to 0 or 1, it leaves its readers,
+``gives_way_ok_i`` and ``colav_ok_i``, and so ship i's cap (``colav_ok_i or
+nav_maneuver_ok_i``) on the shared axes (compliance switches and
+thresholds, 4e4 cells) and ship i's own two, 6e5 cells: context-specific
+independence (Boutilier, Friedman, Goldszmidt & Koller, UAI 1996).  As
+``g_i`` makes ship i's tail ignore it, every ship reads one shared switch,
+``C or G`` with ``G = OR_j g_j``.
 
-Scoring builds no array over more than one ship's axes: ``not G = AND_i
-not g_i`` splits ship by ship, so a candidate's weight is a closed form in
-per-ship sums.  A candidate costs about ``n * 6e5`` cells instead of
-``4e4 * 15**n``: when ``C`` holds, or with one ship, one cap and one sum
-over its axes per ship; otherwise both caps and three sums.  At two ships
-the scratch stays under 6 MB, where one boolean joint alone is 9 MB.  See
-:func:`_factored_z_f`.
+So a slice is kept as per-ship pieces (:class:`_SliceMessage`).  When ``C``
+holds, or with one ship, its constraint is the product ``AND_i cap_i(C)``,
+and once frozen it is folded into ``F_i``, the AND of ship i's caps over
+such slices.  Otherwise ``not G = AND_i not g_i`` splits ship by ship and
+the constraint is ``X1 - [not G] X1 + [not G] X0`` with ``X_s = prod_i
+cap_i(s)``: three product terms, kept as ``cap_i(1)``, ``cap_i(0)`` and
+``not g_i`` per ship (:func:`_options`).  With K such slices among the
+frozen and live ones, a step's constraint multiplies out into ``3**K``
+signed terms, each a product over ships, and each is contracted ship by
+ship against the prior: variable elimination on the star-shaped factor
+graph of the shared and per-ship axes (Koller & Friedman 2009, ch. 9-10).
+Per shared cell a term weighs the product of the ships' sums over their own
+axes.  Ship i's pass weighs its factor by the product of the other ships'
+sums, which gives its root marginals and its exported nodes' weights, and
+its own sums for the next ship (:func:`_factored_masses`).  A pass reads its
+operands a block of whole rows at a time and ANDs them per block
+(:meth:`_Product.joint_sums`), so no array larger than one ship's 6e5 cells
+is built: a two-ship step with K <= 1 peaks at about 8 MB, where one boolean
+joint takes 9 MB.  With one ship the single term is the whole joint, and a
+step is one pass over it.
+
+The terms read ``3**K * n`` ship-local arrays, which passes the cells of one
+joint at K = 2 with two ships and K = 4 with three.  From there the session
+ANDs the frozen pieces into one boolean array over the joint (9 MB at two
+ships, 135 MB at three), keeps it and ANDs each later frozen slice into it.
+A step streams it through the same pass, with the live slice's pieces, and
+a coupling slice's ``colav_ok_i``, switched on ``G`` block by block
+(:func:`_dense_masses`), so the live slice still builds nothing over the
+joint.  Freezing a slice into it writes a new copy, so a rejected update
+leaves the kept one as it was, plus one transient joint if the slice
+couples the ships.
+
+Scoring never builds an array over more than one ship's axes: a candidate
+is one slice, so its weight is the same contraction over its one or three
+terms (:func:`_factored_z_f`).  A candidate costs about ``n * 6e5`` cells
+instead of ``4e4 * 15**n``, one sum per ship and term.
 
 Grounding is measured for the live pose and for every candidate's lookahead
 pose, so a step on a large hazard map measures seven poses.  Each pose scans
@@ -102,9 +110,9 @@ import functools
 import hashlib
 import math
 from collections import ChainMap
-from collections.abc import Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, replace
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
@@ -237,45 +245,79 @@ class ScoreResult:
 # Root-axis layout and per-slice messages
 # --------------------------------------------------------------------------
 
-# Joint cells per block that a contraction converts to float64 (and per
-# chunk that a packed table lookup shifts).  A block holds whole rows, at
-# least one: the bins**4 cells of the threshold block, so it has at most
-# max(_CHUNK_CELLS, bins**4) cells.  The one-pass step sums hold three
-# buffers of that size, the boolean AND (one byte a cell), its float64 copy
-# and one float64 buffer the whole-joint nodes share, plus two float64
-# blocks with ample_time summed out (a bins-th of the cells each).  That is
-# about 1.2 MB whatever the ship count, up to 16 bins per threshold.
+# Cells per block that a contraction converts to float64 (and per chunk that
+# a packed table lookup shifts).  A block holds whole rows of one switch
+# cell, at least one row: the bins**4 cells of the threshold block, so it has
+# at most max(_CHUNK_CELLS, bins**4) cells.  A pass holds three buffers of
+# that size, the boolean AND of its operands (one byte a cell), its float64
+# copy and one float64 buffer the arrays that span ample_time share, plus a
+# float64 block with ample_time summed out (a bins-th of the cells).  That is
+# about 1.2 MB whatever the ship count, up to 16 bins per threshold.  A pass
+# over one ship's axes reads 6e5 cells at default bins, a dozen blocks.  One
+# that keeps only the per-shared-cell sums takes the cut axis whole instead
+# (one switch cell, 1.5e5 cells, at default bins) and holds no third buffer:
+# 1.35 MB.  The dense pass past the cutover adds a boolean block for
+# ``not G`` and one per switched piece.
 _CHUNK_CELLS = 1 << 16
 
 
-class _Product:
-    """A product-form weight over the layout joint, kept as one vector per axis.
+def _outer(vecs: Sequence[np.ndarray]) -> np.ndarray:
+    """The flat outer product of ``vecs`` (one cell, weight one, if there are none)."""
+    return functools.reduce(np.multiply.outer, vecs, np.ones(())).ravel()
 
-    A dense boolean array over the joint is contracted against it as a
-    matrix whose rows are the cells of the first ``split`` axes and whose
-    columns are the cells of the rest.  The rows are cut into blocks of about
+
+class _Sums(NamedTuple):
+    """What one :meth:`_Product.joint_sums` pass returns."""
+
+    right: np.ndarray  # per switch cell, column sums weighted by the other row axes
+    left: np.ndarray | None  # per row, its sum against the column weights
+    post: dict[str, float]  # per array, the weight of the AND with it
+    prior: dict[str, float]  # per array named in priors, its weight alone
+
+
+class _Product:
+    """A product-form weight over some of the layout axes, one vector per axis.
+
+    ``axes`` are layout axes: the compliance switches first, then the other
+    row axes (ship views), then from ``split`` on the columns (thresholds).
+    A dense boolean array over them is contracted against the weight as a
+    matrix of rows and columns.  The rows are cut into blocks of about
     :data:`_CHUNK_CELLS` cells, each converted to float64 on its own, so no
-    dense float joint is ever built.  A block fixes the leading row axes,
-    takes a run of the ``cut`` axis and every later axis whole, so the block
-    of an array that broadcasts over some axes is a view of it, never a copy.
+    dense float array over the axes is ever built.  A block fixes the leading
+    row axes, the switches among them, and takes a run of the ``cut`` axis
+    and every later axis whole.  So it lies within one switch cell, and the
+    block of an array that broadcasts over some axes is a view of it, never
+    a copy.
     """
 
-    def __init__(self, vecs: Sequence[np.ndarray], split: int) -> None:
+    def __init__(
+        self, vecs: Sequence[np.ndarray], axes: Sequence[int], split: int, n_switch: int
+    ) -> None:
         self.vecs = tuple(np.asarray(v, dtype=float) for v in vecs)
+        self.axes = tuple(axes)
         self.shape = tuple(len(v) for v in self.vecs)
         self.split = split
-        self.rows = functools.reduce(np.multiply.outer, self.vecs[:split], np.ones(())).ravel()
-        self.cols = functools.reduce(np.multiply.outer, self.vecs[split:], np.ones(())).ravel()
+        self.switch = _outer(self.vecs[:n_switch])
+        self.inner = _outer(self.vecs[n_switch:split])
+        self.rows = np.multiply.outer(self.switch, self.inner).ravel()
+        self.cols = _outer(self.vecs[split:])
         self.cut = next(
-            (j for j in range(split) if math.prod(self.shape[j + 1 :]) <= _CHUNK_CELLS), split - 1
+            (j for j in range(n_switch, split) if math.prod(self.shape[j + 1 :]) <= _CHUNK_CELLS),
+            split - 1,
         )
         tail = self.shape[self.cut + 1 :]
         step = min(self.shape[self.cut], max(1, _CHUNK_CELLS // math.prod(tail)))
         self.block_shape = (step, *tail)
 
-    def blocks(self) -> Iterator[tuple[tuple, slice]]:
-        """Each block's index (see :func:`_block`) and its span of :attr:`rows`, in row order."""
-        step = self.block_shape[0]
+    def view(self, arr: np.ndarray) -> np.ndarray:
+        """``arr``, laid out on the layout axes and constant off these, on these alone."""
+        return arr.reshape(tuple(arr.shape[j] for j in self.axes))
+
+    def blocks(self, step: int) -> Iterator[tuple[tuple, slice]]:
+        """Each block's index (see :func:`_block`) and its span of :attr:`rows`, in row order.
+
+        A block takes ``step`` cells of the ``cut`` axis.
+        """
         per_run = math.prod(self.shape[self.cut + 1 : self.split])
         r0 = 0
         for lead in np.ndindex(self.shape[: self.cut]):
@@ -286,84 +328,142 @@ class _Product:
                 r0 = r1
 
     def expect(self, arr: np.ndarray) -> float:
-        """Weighted sum of a boolean array laid out on the joint's axes.
+        """Weighted sum of a boolean array laid out on these axes.
 
         Axes of length one are those the array does not touch; they are
-        summed out of the weight instead of being broadcast.  A large array
-        is contracted a block at a time, as the joint ``arr & arr``.
+        summed out of the weight instead of being broadcast.
         """
-        if arr.size > _CHUNK_CELLS:
-            return self.joint_sums(arr, arr, {})[0]
         out = np.asarray(arr, dtype=np.float64)
         for vec in reversed(self.vecs):
             out = out @ vec if out.shape[-1] > 1 else out[..., 0] * vec.sum()
         return float(out)
 
     def joint_sums(
-        self, a: np.ndarray, b: np.ndarray, arrays: Mapping[str, np.ndarray]
-    ) -> tuple[float, list[np.ndarray], dict[str, float], dict[str, float]]:
-        """Weights of the joint ``a & b`` and of every array in it, in one pass.
+        self,
+        operands: Sequence[np.ndarray],
+        arrays: Mapping[str, np.ndarray] | None = None,
+        cols: np.ndarray | None = None,
+        priors: Collection[str] = (),
+        not_g: Sequence[np.ndarray] = (),
+    ) -> _Sums:
+        """Weights of the AND of ``operands`` and of every array in it, in one pass.
 
-        Returns the joint's total weight, its marginal weight on every axis,
-        and per array the weight of ``a & b & arr`` (posterior) and of
-        ``arr`` alone (prior).  Each block of ``a & b`` is ANDed into one
-        boolean scratch and converted to float64 once.  An array that spans
-        the first column axis is converted a block at a time too and
+        Operands and arrays are laid out on these axes.  ``cols``, if given,
+        holds each switch cell's own column weights (switch cells x column
+        cells) in place of :attr:`cols`.  The pass returns, per switch cell,
+        the column sums of the AND weighted by the other row axes.  With
+        ``arrays`` it also returns each row's sum against its column weights
+        and, per array, the weight of ``AND & arr`` (posterior) and, for those
+        named in ``priors``, the weight of ``arr`` alone under this product.
+        Each block of the AND is converted to float64 once.  An array that
+        spans the first column axis is converted a block at a time too and
         multiplied with the float block.  One that does not meets the block
         after that axis is summed out, a tenth of the cells at ten bins; its
         prior weight is a small contraction of its own (:meth:`expect`).
+
+        Given ``not_g``, every ship's ``not g_j``, an operand or array may be
+        a pair: its values where ``G = OR_j g_j`` fails and where it holds.
+        A pair is switched a block at a time (:func:`_select`), so neither it
+        nor ``G`` is ever built over these axes.
         """
-        n_cols, n_first = len(self.cols), self.shape[self.split]
-        rest = functools.reduce(np.multiply.outer, self.vecs[self.split + 1 :], np.ones(())).ravel()
-        wide = [name for name, arr in arrays.items() if arr.shape[self.split] > 1]
-        narrow = [name for name in arrays if name not in wide]
-        reduced_shape = list(self.block_shape)
-        reduced_shape[self.split - self.cut] = 1
-        mask = np.empty(self.block_shape, dtype=bool)
-        buf, scratch = np.empty(self.block_shape), np.empty(self.block_shape)
-        reduced_scratch = np.empty(reduced_shape)
-        # Unweighted sums per row, weighted by the rows after the pass.
-        left, right = np.empty(len(self.rows)), np.zeros(n_cols)
-        prior = {name: np.empty(len(self.rows)) for name in wide}
-        post = {name: np.empty(len(self.rows)) for name in arrays}
-        for index, rows in self.blocks():
+        n_cols, n_inner = len(self.cols), len(self.inner)
+        # A pass that keeps only the column sums takes the cut axis whole:
+        # fewer, larger blocks (see _CHUNK_CELLS).
+        step = self.block_shape[0] if arrays is not None else self.shape[self.cut]
+        mask = np.empty((step, *self.block_shape[1:]), dtype=bool)
+        buf = np.empty(mask.shape)
+        right = np.zeros((len(self.switch), n_cols))
+        if not_g:  # boolean blocks for not G, a switched array, each switched operand
+            not_g_buf, picked = np.empty(mask.shape, dtype=bool), np.empty(mask.shape, dtype=bool)
+            op_bufs = [np.empty(mask.shape, dtype=bool) for _ in operands]
+        if arrays is not None:
+            n_first = self.shape[self.split]
+            rest = _outer(self.vecs[self.split + 1 :])
+            if cols is not None:  # the column weights already hold these
+                rest = np.ones(len(rest))
+            wide = [
+                name for name, arr in arrays.items()
+                if isinstance(arr, tuple) or arr.shape[self.split] > 1
+            ]
+            narrow = [name for name in arrays if name not in wide]
+            reduced_shape = list(self.block_shape)
+            reduced_shape[self.split - self.cut] = 1
+            scratch, reduced_scratch = np.empty(self.block_shape), np.empty(reduced_shape)
+            # Unweighted sums per row, weighted by the rows after the pass.
+            left = np.empty(len(self.rows))
+            post = {name: np.empty(len(self.rows)) for name in arrays}
+            prior = {name: np.empty(len(self.rows)) for name in wide if name in priors}
+        for index, rows in self.blocks(step):
             m = index[-1].stop - index[-1].start
-            np.logical_and(_block(a, index), _block(b, index), out=mask[:m])
-            block, tmp = buf[:m], scratch[:m]
-            np.copyto(block, mask[:m])
+            switch, r0 = divmod(rows.start, n_inner)
+            if not_g:
+                ng = not_g_buf[:m]
+                np.copyto(ng, _block(not_g[0], index))
+                for arr in not_g[1:]:
+                    np.logical_and(ng, _block(arr, index), out=ng)
+                views = [_pick(op, index, ng, out[:m]) for op, out in zip(operands, op_bufs)]
+                switched = picked[:m]
+            else:
+                ng = switched = None
+                views = [_block(op, index) for op in operands]
+            block = buf[:m]
+            if len(views) == 1:
+                np.copyto(block, views[0])
+            else:
+                anded = mask[:m]
+                np.logical_and(*views[:2], out=anded)
+                for view in views[2:]:
+                    np.logical_and(anded, view, out=anded)
+                np.copyto(block, anded)
             mat = block.reshape(-1, n_cols)
-            left[rows] = mat @ self.cols
-            right += self.rows[rows] @ mat
+            right[switch] += self.inner[r0 : r0 + len(mat)] @ mat
+            if arrays is None:
+                continue
+            col = self.cols if cols is None else cols[switch]
+            left[rows] = mat @ col
+            tmp = scratch[:m]
             for name in wide:
-                np.copyto(tmp, _block(arrays[name], index))
-                prior[name][rows] = tmp.reshape(-1, n_cols) @ self.cols
+                np.copyto(tmp, _pick(arrays[name], index, ng, switched))
+                if name in prior:
+                    prior[name][rows] = tmp.reshape(-1, n_cols) @ self.cols
                 np.multiply(tmp, block, out=tmp)
-                post[name][rows] = tmp.reshape(-1, n_cols) @ self.cols
+                post[name][rows] = tmp.reshape(-1, n_cols) @ col
             if narrow:
-                summed = self.vecs[self.split] @ mat.reshape(-1, n_first, len(rest))
+                mat3 = mat.reshape(-1, n_first, len(rest))
+                if cols is None:
+                    summed = self.vecs[self.split] @ mat3
+                else:
+                    summed = np.einsum("ras,as->rs", mat3, col.reshape(n_first, -1))
                 summed = summed.reshape(m, *reduced_shape[1:])
                 tmp = reduced_scratch[:m]
                 for name in narrow:
                     np.multiply(summed, _block(arrays[name], index), out=tmp)
                     post[name][rows] = tmp.reshape(-1, len(rest)) @ rest
-
-        marginals: list[np.ndarray] = []
-        for weights in (
-            (self.rows * left).reshape(self.shape[: self.split]),
-            (self.cols * right).reshape(self.shape[self.split :]),
-        ):
-            for j in range(weights.ndim):
-                marginals.append(weights.sum(axis=tuple(k for k in range(weights.ndim) if k != j)))
-        prior_sums = {name: float(self.rows @ prior[name]) for name in wide}
-        prior_sums.update((name, self.expect(arrays[name])) for name in narrow)
+        if arrays is None:
+            return _Sums(right, None, {}, {})
+        prior_sums = {name: float(self.rows @ per_row) for name, per_row in prior.items()}
+        prior_sums.update((name, self.expect(arrays[name])) for name in narrow if name in priors)
         post_sums = {name: float(self.rows @ per_row) for name, per_row in post.items()}
-        return float(self.rows @ left), marginals, post_sums, prior_sums
+        return _Sums(right, left, post_sums, prior_sums)
+
+
+def _pick(
+    arr: np.ndarray | tuple[np.ndarray, np.ndarray],
+    index: tuple,
+    not_g: np.ndarray | None,
+    out: np.ndarray | None,
+) -> np.ndarray:
+    """The block of ``arr`` at ``index``; a pair's switched on ``not_g``'s block, into ``out``."""
+    if not isinstance(arr, tuple):
+        return _block(arr, index)
+    off, on = (_block(a, index) for a in arr)
+    return _select(not_g, on, off, out)
 
 
 def _block(arr: np.ndarray, index: tuple) -> np.ndarray:
     """The view of ``arr`` at a :meth:`_Product.blocks` index.
 
-    ``arr`` has the joint's rank and broadcasts to it; its axes of length
+    ``arr`` has the product's rank and broadcasts to it; its axes of length
     one stay length one, so the view still broadcasts to the block.
     """
     *lead, run = index
@@ -405,8 +505,6 @@ class _Layout:
             r: np.arange(card, dtype=np.uint8).reshape((1,) * j + (-1,) + (1,) * (rank - 1 - j))
             for j, (r, card) in enumerate(zip(self.f_roots, self.cards))
         }
-        split = sum(r not in THRESHOLDS for r in self.f_roots)
-        self.prior = _Product([self.prior_vec[r] for r in self.f_roots], split)
 
         self.specs = nodes.model_node_specs(n_ships)
         cards = {v.id: v.cardinality for v in measurement_variables(n_ships, disc)}
@@ -433,46 +531,40 @@ class _Layout:
 
         # Ship i's two axes sit together in the row block, after the shared
         # compliance switches and before the thresholds; dropping the other
-        # ships' axes leaves a (switch cells, 15, threshold cells) matrix.
+        # ships' axes leaves a (switch cells, 15, threshold cells) array.
         self.ship_axes = tuple(
             tuple(self.f_roots.index(ship(base, i)) for base in nodes.SHIP_INTENTIONS)
             for i in range(1, n_ships + 1)
         )
         owned = {ax for axes in self.ship_axes for ax in axes}
+        split = sum(r not in THRESHOLDS for r in self.f_roots)
         self.switch_axes = tuple(j for j in range(split) if j not in owned)
         self.threshold_axes = tuple(range(split, rank))
+        vecs = [self.prior_vec[r] for r in self.f_roots]
+        self.prior = _Product(vecs, range(rank), split, len(self.switch_axes))
+        self.local = self.factor_weight(self.prior_vec)
 
-    def factor_weight(
-        self, dists: Mapping[str, np.ndarray]
-    ) -> tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
-        """A product weight as flat (switch, per-ship, threshold) block vectors."""
+    def factor_weight(self, dists: Mapping[str, np.ndarray]) -> tuple[_Product, ...]:
+        """A product weight as one :class:`_Product` per ship, on its local axes.
 
-        def block(axes: Sequence[int]) -> np.ndarray:
-            vecs = [dists[self.f_roots[j]] for j in axes]
-            return functools.reduce(np.multiply.outer, vecs, np.ones(())).ravel()
-
-        return (
-            block(self.switch_axes),
-            tuple(block(axes) for axes in self.ship_axes),
-            block(self.threshold_axes),
+        Ship i's local axes are the shared ones (compliance switches and
+        thresholds) and its own two; with one ship they are the whole joint.
+        """
+        n_switch = len(self.switch_axes)
+        return tuple(
+            _Product([dists[self.f_roots[j]] for j in axes], axes, n_switch + 2, n_switch)
+            for axes in (
+                (*self.switch_axes, *own, *self.threshold_axes) for own in self.ship_axes
+            )
         )
 
-    def ship_sums(self, arr: np.ndarray, i: int, w_ship: np.ndarray) -> np.ndarray:
-        """Sum of a boolean array over ship ``i``'s two axes against ``w_ship``.
+    def factored(self, k: int) -> bool:
+        """Whether a constraint with ``k`` coupled slices is contracted ship by ship.
 
-        The array spans the shared axes and ship ``i``'s own (a reshape
-        raises if it spans another ship's).  Returns the float64 (switch
-        cells, threshold cells) matrix, one ``(15,) @ (15, thresholds)``
-        product per switch row, so the float scratch is one row.
+        Its ``3**k`` terms read ``n`` ship-local arrays each; past the cells
+        of one joint, ANDing the pieces into the joint reads fewer.
         """
-        keep = (*self.switch_axes, *self.ship_axes[i - 1], *self.threshold_axes)
-        arr = arr.reshape(tuple(arr.shape[j] for j in keep))
-        mat = np.broadcast_to(arr, tuple(self.cards[j] for j in keep))
-        mat = mat.reshape(-1, len(w_ship), math.prod(self.cards[j] for j in self.threshold_axes))
-        out = np.empty((mat.shape[0], mat.shape[2]))
-        for row, block in enumerate(mat):
-            out[row] = w_ship @ block.astype(np.float64)
-        return out
+        return 3**k * self.n_ships * math.prod(self.local[0].shape) <= math.prod(self.cards)
 
 
 def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
@@ -509,14 +601,77 @@ def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
 
 @dataclass
 class _SliceMessage:
-    """One slice's evidence, folded down to functions of the intention roots."""
+    """One slice's evidence, folded down to functions of the intention roots.
 
-    f_side: np.ndarray  # bool on the layout axes: all ships' caps hold
+    ``caps[i - 1]`` is ship i's piece of the slice's collision-avoidance
+    constraint, on the shared axes and ship i's own: ``(cap_i(C),)`` when
+    every ``stands_on_ok`` is the observed ``C`` (the course is held, or one
+    ship), else ``(cap_i(1), cap_i(0), not g_i)``, and the slice couples the
+    ships (see :func:`_options`).
+    """
+
+    caps: tuple[tuple[np.ndarray, ...], ...]
     v_side: np.ndarray  # bool per safe_ground_side bin
     v_front: np.ndarray  # bool per safe_ground_front bin
     nav_maneuver: bool
     turned_sb: int
     turned_port: int
+
+    @property
+    def coupled(self) -> bool:
+        return len(self.caps[0]) > 1
+
+
+@dataclass(frozen=True)
+class _Frozen:
+    """The frozen slices' evidence, kept per ship.
+
+    ``held[i - 1]`` is ``F_i``, the AND of ship i's caps over the frozen
+    slices that do not couple the ships (None before the first), and
+    ``coupled`` holds each coupling slice's per-ship pieces.  Once a step's
+    terms would outgrow the joint (:meth:`settled`), all of it is
+    ANDed into ``dense``, one boolean array over the joint, and later slices
+    are ANDed into that.  ``k`` counts the coupling slices either way.
+    """
+
+    held: tuple[np.ndarray | None, ...]
+    coupled: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    v_side: np.ndarray
+    v_front: np.ndarray
+    dense: np.ndarray | None = None
+    k: int = 0
+
+    def add(self, layout: _Layout, msg: _SliceMessage) -> _Frozen:
+        """This evidence and one more slice's, without touching this one's arrays."""
+        held, coupled, dense = self.held, self.coupled, self.dense
+        if dense is not None:
+            dense = _dense(layout, msg.caps, dense.copy())
+        elif msg.coupled:
+            coupled = (*coupled, msg.caps)
+        else:
+            held = tuple(cap if f is None else f & cap for f, (cap,) in zip(held, msg.caps))
+        v_side, v_front = self.v_side & msg.v_side, self.v_front & msg.v_front
+        return _Frozen(held, coupled, v_side, v_front, dense, self.k + msg.coupled)
+
+    def settled(self, layout: _Layout, live: _SliceMessage) -> _Frozen:
+        """This evidence, as one dense joint once a step with ``live`` is past the cutover."""
+        if self.dense is not None or layout.factored(self.k + live.coupled):
+            return self
+        dense = np.ones(layout.cards, dtype=bool)
+        for f in self.held:
+            if f is not None:
+                dense &= f
+        for caps in self.coupled:
+            _dense(layout, caps, dense)
+        return replace(self, held=(None,) * layout.n_ships, coupled=(), dense=dense)
+
+    def arrays(self) -> Iterator[np.ndarray | None]:
+        """Every array this evidence keeps, in a fixed order."""
+        yield from self.held
+        for caps in self.coupled:
+            for pieces in caps:
+                yield from pieces
+        yield from (self.dense, self.v_side, self.v_front)
 
 
 _SKIP_NODES = {"ground_safe", "compatible"}
@@ -587,68 +742,63 @@ def _ship_tail(
     return scope
 
 
-def _ship_cap(layout: _Layout, values: Mapping[str, object], i: int, s: int) -> np.ndarray:
-    """Ship ``i``'s cap with ``stands_on_ok_i`` fixed to ``s``, on ship ``i``'s axes."""
-    return _cap(_ship_tail(layout, values, i, s), i)
-
-
 def _gives_way(layout: _Layout, values: Mapping[str, object], i: int) -> np.ndarray:
     """``g_i``: ship ``i`` is giving way (:func:`~shipintent.nodes.gives_way_to`)."""
     return _lookup(layout.gives_way_table, [values[ship(b, i)] for b in nodes.GIVES_WAY_BASES])
 
 
-def _switch(s: np.ndarray, a0: np.ndarray, a1: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a0`` where ``s`` is false and ``a1`` where it holds, written into ``out``.
+def _standing(layout: _Layout, values: Mapping[str, object]) -> bool | None:
+    """The value of every ``stands_on_ok_i`` when it is observed, else None.
 
-    As ``a0 ^ (s & (a0 ^ a1))``: logical operations, which broadcast the
-    operands cell by cell into ``out`` with no temporary of its size.
+    ``stands_on_ok_i = C or OR_{j!=i} g_j``: it is ``C`` (course straight and
+    speed unchanged, :func:`~shipintent.nodes.course_held`) when ``C`` holds
+    or with one ship; otherwise it depends on the other ships' ``g_j``.
     """
-    np.logical_and(s, np.logical_xor(a0, a1), out=out)
-    return np.logical_xor(out, a0, out=out)
+    held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
+    return held if held or layout.n_ships == 1 else None
+
+
+def _ship_pieces(
+    layout: _Layout, values: Mapping[str, object], i: int, standing: bool | None
+) -> tuple[tuple[np.ndarray, ...], np.ndarray | tuple[np.ndarray, np.ndarray]]:
+    """Ship ``i``'s piece of a slice's constraint and its ``colav_ok_i``.
+
+    The piece is as :class:`_SliceMessage` keeps it.  With
+    ``stands_on_ok_i`` observed (``standing``), ``colav_ok_i`` is one array;
+    otherwise it is the pair at ``stands_on_ok_i`` = 0 and 1.
+    """
+    colav = ship("colav_ok", i)
+    if standing is not None:
+        tail = _ship_tail(layout, values, i, standing)
+        return (_cap(tail, i),), tail[colav]
+    tails = [_ship_tail(layout, values, i, s) for s in (0, 1)]
+    not_g = np.logical_not(_gives_way(layout, values, i))
+    return (_cap(tails[1], i), _cap(tails[0], i), not_g), (tails[0][colav], tails[1][colav])
 
 
 def _slice_message(
     layout: _Layout, meas_states: Mapping[str, int], sa_in: int, pa_in: int
-) -> tuple[_SliceMessage, dict[str, np.ndarray]]:
-    """Fold one slice's observations into boolean root-space indicators.
+) -> tuple[_SliceMessage, dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]]:
+    """Fold one slice's observations into per-ship boolean root-space indicators.
 
     The shared fold, then each ship's tail with ``stands_on_ok_i`` fixed to
-    a scalar (:func:`_ship_tail`).  When ``C`` holds, or with one ship,
-    every ``stands_on_ok_i`` is ``C``, so ``colav_ok_i`` stays on ship i's
-    axes.  Otherwise ``colav_ok_i`` and ship i's cap take their ``s = 0``
-    value where ``G = OR_j g_j`` is false and their ``s = 1`` value where it
-    holds (:func:`_switch`), in one buffer over the joint.  ``G`` differs
-    from ``OR_{j!=i} g_j`` only where ``g_i`` holds, which ship i's tail
-    ignores.  No truth table is looked up on the joint.  Returns the message
-    a slice keeps and the exported per-ship node indicators, which only the
-    step's posterior bundle reads.
+    a scalar (:func:`_ship_tail`), so every array spans the shared axes and
+    one ship's own: no array spans the joint.  Returns the message a slice
+    keeps and the exported per-ship node indicators, which only the step's
+    posterior bundle reads; ``colav_ok_i`` of a coupling slice comes as its
+    pair at ``stands_on_ok_i`` = 0 and 1.
     """
     values = _fold(layout, meas_states, sa_in, pa_in)
-    n = layout.n_ships
-    held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
-    if held or n == 1:
-        for i in range(1, n + 1):
-            colav = ship("colav_ok", i)
-            values[colav] = _ship_tail(layout, values, i, held)[colav]
-        f_side = functools.reduce(np.logical_and, (_cap(values, i) for i in range(1, n + 1)))
-    else:
-        g = (_gives_way(layout, values, i) for i in range(1, n + 1))
-        s = functools.reduce(np.logical_or, g)
-        f_side = np.ones(layout.cards, dtype=bool)
-        for i in range(1, n + 1):
-            tails = [_ship_tail(layout, values, i, fixed) for fixed in (0, 1)]
-            # cap_i, then colav_i in the same buffer: no temporary over the joint.
-            out = np.empty(layout.cards, dtype=bool)
-            f_side &= _switch(s, *(_cap(t, i) for t in tails), out=out)
-            colav = ship("colav_ok", i)
-            values[colav] = _switch(s, *(t[colav] for t in tails), out=out)
-    node_arrays = {
-        ship(base, i): np.asarray(values[ship(base, i)], dtype=bool)
-        for i in range(1, n + 1)
-        for base in _EXPORT_BASES
-    }
+    standing = _standing(layout, values)
+    caps = []
+    node_arrays: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
+    for i in range(1, layout.n_ships + 1):
+        cap, node_arrays[ship("colav_ok", i)] = _ship_pieces(layout, values, i, standing)
+        caps.append(cap)
+        for base in _EXPORT_BASES[1:]:
+            node_arrays[ship(base, i)] = np.asarray(values[ship(base, i)], dtype=bool)
     message = _SliceMessage(
-        f_side=f_side,
+        caps=tuple(caps),
         v_side=np.asarray(values["ground_safe_side"], dtype=bool),
         v_front=np.asarray(values["ground_safe_front"], dtype=bool),
         nav_maneuver=bool(values["nav_maneuver"]),
@@ -658,47 +808,126 @@ def _slice_message(
     return message, node_arrays
 
 
-def _factored_z_f(
-    layout: _Layout,
-    weight: tuple[np.ndarray, tuple[np.ndarray, ...], np.ndarray],
-    values: Mapping[str, object],
-) -> float:
-    """Weight of one slice's ``f_side`` under a product weight, ship by ship.
+_Term = tuple[int, int | None, tuple[tuple[np.ndarray, ...], ...]]
 
-    ``values`` is the slice's shared fold.  ``stands_on_ok_i = C or OR_{j!=i}
-    g_j`` is the only node that couples ships, with ``C`` =
-    :func:`~shipintent.nodes.course_held` and ``g_j`` =
-    :func:`~shipintent.nodes.gives_way_to` of ship j's nodes.  With it fixed
-    to a value ``s``, ship i's ``cap_i(s)`` spans the shared axes and ship
-    i's own only.  When ``C`` holds, or with one ship, ``s = C`` for every
-    ship and the weight is the shared-block contraction of ``prod_i`` of
-    ship i's sum of ``cap_i(C)``.  Otherwise every ship reads one switch,
-    ``G = OR_j g_j`` (see :func:`_slice_message`), and ``f_side`` is
-    ``AND_i cap_i(1)`` where ``G`` holds and ``AND_i cap_i(0)`` where it
-    fails.  ``not G = AND_i not g_i`` splits ship by ship, so per shared
-    cell the weight is ``prod_i C_i - prod_i N_i(1) + prod_i N_i(0)``, with
-    ``C_i`` ship i's sum of ``cap_i(1)`` and ``N_i(s)`` its sum of
-    ``cap_i(s) and not g_i``: three sums per ship.
+
+def _options(caps: Sequence[Sequence[np.ndarray | None]]) -> tuple[_Term, ...]:
+    """One slice's constraint as signed terms, each a product over ships.
+
+    A term is ``(sign, s, ops)``: ship i's factor is the AND of ``ops[i -
+    1]`` and ``s`` is the value ``stands_on_ok`` takes in it (None when the
+    slice does not couple).  A slice that does not couple is one product,
+    ``AND_i cap_i(C)``.  One that does is ``AND_i cap_i(1)`` where ``G =
+    OR_j g_j`` holds and ``AND_i cap_i(0)`` where it fails: every ship reads
+    the one switch ``G``, as ``g_i`` makes ship i's tail ignore
+    ``stands_on_ok_i``.  ``not G = AND_i not g_i`` splits ship by ship, so
+    with ``X_s = prod_i cap_i(s)`` it is ``X1 - [not G] X1 + [not G] X0``:
+    three terms.  A None piece is true everywhere.
     """
-    w_switch, w_ships, w_thr = weight
-    n = layout.n_ships
-    held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
-    cap = functools.partial(_ship_cap, layout, values)
-    if held or n == 1:
-        block = functools.reduce(
-            np.multiply,
-            (layout.ship_sums(cap(i, held), i, w_ships[i - 1]) for i in range(1, n + 1)),
-        )
-    else:
-        sums = []  # per ship: C_i, N_i(1), N_i(0)
-        for i in range(1, n + 1):
-            not_g = np.logical_not(_gives_way(layout, values, i))
-            c1 = cap(i, True)
-            caps = (c1, c1 & not_g, cap(i, False) & not_g)
-            sums.append([layout.ship_sums(c, i, w_ships[i - 1]) for c in caps])
-        every, none1, none0 = (functools.reduce(np.multiply, col) for col in zip(*sums))
-        block = every - none1 + none0
-    return float(w_switch @ block @ w_thr)
+    if len(caps[0]) == 1:
+        return ((1, None, tuple(tuple(c) for c in caps)),)
+    return (
+        (1, 1, tuple((c1,) for c1, _, _ in caps)),
+        (-1, 1, tuple((c1, not_g) for c1, _, not_g in caps)),
+        (1, 0, tuple((c0, not_g) for _, c0, not_g in caps)),
+    )
+
+
+def _terms(
+    base: Sequence[Sequence[np.ndarray]], slices: Sequence[Sequence[Sequence[np.ndarray]]]
+) -> list[_Term]:
+    """``AND_i base[i - 1]`` times every slice's constraint, multiplied out.
+
+    With K coupling slices that is ``3**K`` signed terms, each a product over
+    ships; ``s`` is the last slice's.
+    """
+    terms: list[_Term] = [(1, None, tuple(tuple(b) for b in base))]
+    for caps in slices:
+        terms = [
+            (sign * o_sign, s, tuple(a + b for a, b in zip(ops, o_ops)))
+            for sign, _, ops in terms
+            for o_sign, s, o_ops in _options(caps)
+        ]
+    return terms
+
+
+def _ship_sums(product: _Product, ops: Sequence[np.ndarray | None]) -> np.ndarray | float:
+    """Ship sums of the AND of ``ops`` per shared cell: the row sums of :meth:`_Product.joint_sums`.
+
+    With no ops, the ship's factor is true everywhere and its sum is the
+    total weight of the ship's own axes.
+    """
+    arrays = [product.view(a) for a in ops if a is not None]
+    return product.joint_sums(arrays).right if arrays else float(product.inner.sum())
+
+
+def _shared_weight(product: _Product, per_cell: np.ndarray) -> float:
+    """``per_cell`` (switch cells x threshold cells) against the shared axes' weight."""
+    return float(product.switch @ per_cell @ product.cols)
+
+
+def _z(weight: Sequence[_Product], terms: Sequence[_Term]) -> float:
+    """Weight of a signed sum of product terms under a per-ship product weight.
+
+    Per shared cell, a term weighs the product of the ships' sums of their
+    factors (variable elimination on the star of shared and per-ship axes,
+    Koller & Friedman 2009, ch. 9-10); the terms are summed per cell, then
+    contracted against the shared axes' weight.
+    """
+    acc = None
+    for sign, _, ops in terms:
+        acc = _accumulate(acc, sign, (_ship_sums(p, o) for p, o in zip(weight, ops)))
+    return _shared_weight(weight[0], acc)
+
+
+def _accumulate(acc: np.ndarray | None, sign: int, sums: Iterable) -> np.ndarray:
+    """``acc`` plus ``sign`` times the product of ``sums``, in place after the first term."""
+    term = functools.reduce(np.multiply, sums)
+    if acc is None:
+        return term
+    return np.add(acc, term, out=acc) if sign > 0 else np.subtract(acc, term, out=acc)
+
+
+def _factored_z_f(
+    layout: _Layout, weight: Sequence[_Product], values: Mapping[str, object]
+) -> float:
+    """Weight of one slice's constraint under a product weight, ship by ship.
+
+    ``values`` is the slice's shared fold.  The one-slice case of the step's
+    contraction: the slice's terms (:func:`_options`) through :func:`_z`.
+    """
+    standing = _standing(layout, values)
+    caps = [_ship_pieces(layout, values, i, standing)[0] for i in range(1, layout.n_ships + 1)]
+    return _z(weight, _options(caps))
+
+
+def _dense(
+    layout: _Layout, caps: Sequence[Sequence[np.ndarray]], out: np.ndarray | None = None
+) -> np.ndarray:
+    """AND one slice's constraint into ``out``, a boolean array over the whole joint.
+
+    ``out`` is a new all-true array by default.
+    """
+    out = np.ones(layout.cards, dtype=bool) if out is None else out
+    if len(caps[0]) == 1:
+        for (cap,) in caps:
+            out &= cap
+        return out
+    not_g = functools.reduce(np.logical_and, (pieces[2] for pieces in caps))
+    switched = np.empty(layout.cards, dtype=bool)
+    for cap1, cap0, _ in caps:
+        out &= _select(not_g, cap1, cap0, switched)
+    return out
+
+
+def _select(not_g: np.ndarray, on: np.ndarray, off: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``on`` where ``G = OR_j g_j`` holds and ``off`` where ``not_g`` does, into ``out``.
+
+    As ``on ^ (not_g & (on ^ off))``: logical operations, which broadcast the
+    operands cell by cell into ``out`` with no temporary of its size.
+    """
+    np.logical_and(not_g, np.logical_xor(on, off), out=out)
+    return np.logical_xor(out, on, out=out)
 
 
 def _branch_masses(
@@ -722,23 +951,151 @@ def _unit(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
+class _Masses(NamedTuple):
+    """A step's constraint contracted against the prior."""
+
+    switch: np.ndarray  # weight per switch cell
+    thresholds: np.ndarray  # weight per threshold cell
+    rows: list[tuple[_Product, np.ndarray]]  # weight per row of each product passed over
+    post: dict[str, float]  # per exported node, its weight within the constraint
+    prior: dict[str, float]  # per exported node, its weight alone
+
+
+def _factored_masses(
+    layout: _Layout,
+    terms: Sequence[_Term],
+    node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
+    live: _SliceMessage,
+) -> _Masses:
+    """The step's masses ship by ship, from the constraint's signed terms.
+
+    Per term, every ship's sums per shared cell; ship i's pass weighs its
+    factor by the product of the other ships' sums, which gives its root
+    marginals and its exported nodes' weights.  A pass also yields its own
+    ship's sums, so ship 1 needs no separate one, and with one ship a step
+    is a single pass.  A ship's exported node weighs ``AND & node``; as
+    ``cap_i`` contains ``colav_ok_i``, a coupling slice's ``colav_ok_i`` in a
+    term is the array at that term's ``s``.
+    """
+    n = layout.n_ships
+    weight = layout.local
+    ship_nodes = [
+        {ship(base, i): node_arrays[ship(base, i)] for base in _EXPORT_BASES}
+        for i in range(1, n + 1)
+    ]
+    totals = [float(p.inner.sum()) for p in weight]
+    prior: dict[str, float] = {}
+    for i in range(1, n + 1):
+        pair = node_arrays[ship("colav_ok", i)]
+        if isinstance(pair, tuple):
+            # The prior of [G] colav(1) + [not G] colav(0): the slice's
+            # three terms with colav in ship i's cap and true in the others'.
+            pieces = [(None, None, c[2]) for c in live.caps]
+            pieces[i - 1] = (pair[1], pair[0], live.caps[i - 1][2])
+            prior[ship("colav_ok", i)] = _z(weight, _options(pieces))
+    acc = None  # per shared cell, the terms' signed sum of their products
+    rows: list[np.ndarray | float] = [0.0] * n
+    post = dict.fromkeys(node_arrays, 0.0)
+    for k, (sign, s, ops) in enumerate(terms):
+        ops = [[p.view(a) for a in o] for p, o in zip(weight, ops)]
+        sums: list = [None, *(p.joint_sums(o).right for p, o in zip(weight[1:], ops[1:]))]
+        for i, p in enumerate(weight):
+            others = [sums[j] for j in range(n) if j != i]
+            cols = p.cols * functools.reduce(np.multiply, others) if others else None
+            arrays = {
+                name: p.view(a[s] if isinstance(a, tuple) else a)
+                for name, a in ship_nodes[i].items()
+            }
+            # Priors once, from the first term; a coupling colav_ok_i's above.
+            fixed = [] if k else [nm for nm, a in ship_nodes[i].items() if not isinstance(a, tuple)]
+            r = p.joint_sums(ops[i], arrays, cols, fixed)
+            sums[i] = r.right
+            rows[i] = rows[i] + sign * (p.rows * r.left)
+            for name, v in r.post.items():
+                post[name] += sign * v
+            scale = math.prod(totals[:i] + totals[i + 1 :])
+            prior.update((name, scale * v) for name, v in r.prior.items())
+        acc = _accumulate(acc, sign, sums)
+    return _Masses(*_shared_masses(weight[0], acc), list(zip(weight, rows)), post, prior)
+
+
+def _dense_masses(
+    layout: _Layout,
+    frozen: np.ndarray,
+    live: _SliceMessage,
+    node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
+) -> _Masses:
+    """The step's masses from one pass over the whole joint, past the cutover.
+
+    ``frozen`` is the frozen slices' dense joint; the live slice's pieces,
+    and a coupling slice's ``colav_ok_i``, are switched on ``G`` block by
+    block.
+    """
+    p = layout.prior
+    if live.coupled:
+        not_g = tuple(pieces[2] for pieces in live.caps)
+        ops = [(pieces[1], pieces[0]) for pieces in live.caps]
+    else:
+        not_g, ops = (), [pieces[0] for pieces in live.caps]
+    r = p.joint_sums((frozen, *ops), node_arrays, None, node_arrays, not_g)
+    return _Masses(*_shared_masses(p, r.right), [(p, p.rows * r.left)], r.post, r.prior)
+
+
+def _shared_masses(product: _Product, per_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights per switch cell and per threshold cell of per-shared-cell sums."""
+    return product.switch * (per_cell @ product.cols), (product.switch @ per_cell) * product.cols
+
+
+def _root_masses(layout: _Layout, masses: _Masses) -> list[np.ndarray]:
+    """The constraint's weight marginal on every layout axis, in layout order."""
+    blocks = [(layout.switch_axes, masses.switch), (layout.threshold_axes, masses.thresholds)]
+    blocks += [(p.axes[: p.split], per_row) for p, per_row in masses.rows]
+    out: dict[int, np.ndarray] = {}
+    for axes, flat in blocks:
+        weights = flat.reshape(tuple(layout.cards[j] for j in axes))
+        for k, j in enumerate(axes):
+            if j not in out:
+                out[j] = weights.sum(axis=tuple(x for x in range(len(axes)) if x != k))
+    return [out[j] for j in range(len(layout.cards))]
+
+
+def _blame(layout: _Layout, terms: Sequence[_Term]) -> str:
+    """The node a contradiction names.
+
+    That is ``ship_compatible_i`` (ship i's cap) if ship i's factor weighs
+    nothing in every term, else ``compatible``.
+    """
+    for i, p in enumerate(layout.local):
+        if all(_shared_weight(p, _ship_sums(p, ops[i])) == 0.0 for _, _, ops in terms):
+            return ship("ship_compatible", i + 1)
+    return "compatible"
+
+
 def _posterior_bundle(
     layout: _Layout,
-    frozen_f: np.ndarray,
-    frozen_vs: np.ndarray,
-    frozen_vf: np.ndarray,
+    frozen: _Frozen,
     live: _SliceMessage,
-    node_arrays: Mapping[str, np.ndarray],
+    node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
 ) -> tuple[IntentionPosterior, dict[str, float]]:
     """Exact posteriors and live-node probabilities from the slice messages."""
-    z_f, f_masses, post_sums, prior_sums = layout.prior.joint_sums(
-        frozen_f, live.f_side, node_arrays
-    )
+    frozen = frozen.settled(layout, live)
+    terms = None
+    if frozen.dense is None:
+        base = [[] if f is None else [f] for f in frozen.held]
+        if not live.coupled:
+            for ops, (cap,) in zip(base, live.caps):
+                ops.append(cap)
+        slices = [*frozen.coupled, live.caps] if live.coupled else frozen.coupled
+        terms = _terms(base, slices)
+        masses = _factored_masses(layout, terms, node_arrays, live)
+    else:
+        masses = _dense_masses(layout, frozen.dense, live, node_arrays)
+    z_f = float(masses.switch.sum())
 
     pi_s = layout.prior_vec["safe_ground_side"]
     pi_f = layout.prior_vec["safe_ground_front"]
-    u_s = pi_s * (frozen_vs & live.v_side)
-    u_f = pi_f * (frozen_vf & live.v_front)
+    u_s = pi_s * (frozen.v_side & live.v_side)
+    u_f = pi_f * (frozen.v_front & live.v_front)
     z_s, z_fr = float(u_s.sum()), float(u_f.sum())
 
     p_u = float(layout.prior_vec["unmodeled"][1])
@@ -746,14 +1103,15 @@ def _posterior_bundle(
     a_u, a_g, a_s = _branch_masses(p_u, p_g, z_f, z_s, z_fr)
     total = a_u + a_g + a_s
     if total <= 0.0:
+        blamed = _blame(layout, terms) if terms is not None and z_f <= 0.0 else "compatible"
         raise ContradictionError(
-            "no intention assignment explains the observed behaviour", diagnosis="compatible"
+            "no intention assignment explains the observed behaviour", diagnosis=blamed
         )
 
     rest = 1.0 - p_u
     marg: dict[str, tuple[float, ...]] = {}
     f_weight = rest * (p_g + (1.0 - p_g) * z_s * z_fr)
-    for root, m_root in zip(layout.f_roots, f_masses):
+    for root, m_root in zip(layout.f_roots, _root_masses(layout, masses)):
         marg[root] = _distribution(a_u * layout.prior_vec[root] + f_weight * m_root)
     no_ground_intent = rest * z_f * (1.0 - p_g)
     marg["safe_ground_side"] = _distribution((a_u + a_g) * pi_s + no_ground_intent * z_fr * u_s)
@@ -767,8 +1125,8 @@ def _posterior_bundle(
     node_probs: dict[str, float] = {}
     post_weight = a_g + a_s
     for name in node_arrays:
-        e_post = post_sums[name] / z_f if z_f > 0.0 else 0.0
-        node_probs[name] = _unit((a_u * prior_sums[name] + post_weight * e_post) / total)
+        e_post = masses.post[name] / z_f if z_f > 0.0 else 0.0
+        node_probs[name] = _unit((a_u * masses.prior[name] + post_weight * e_post) / total)
     s_live = float((pi_s * live.v_side).sum())
     f_live = float((pi_f * live.v_front).sum())
     node_probs["ground_safe_side"] = _unit(((a_u + a_g) * s_live + a_s) / total)
@@ -830,9 +1188,12 @@ class Session:
         self._own: list[ShipState] = []
         self._obstacles: list[list[ShipState]] = [[] for _ in obstacles]
         self._slices: list[_SliceState] = []
-        self._frozen_f = np.ones(self.layout.cards, dtype=bool)
-        self._frozen_vs = np.ones(disc.ground_side.bins, dtype=bool)
-        self._frozen_vf = np.ones(disc.ground_front.bins, dtype=bool)
+        self._frozen = _Frozen(
+            held=(None,) * self.n_ships,
+            coupled=(),
+            v_side=np.ones(disc.ground_side.bins, dtype=bool),
+            v_front=np.ones(disc.ground_front.bins, dtype=bool),
+        )
         self._step_index = -1
         self.records: list[StepRecord] = []
         self._advance(own, obstacles, added_slice=False)
@@ -960,7 +1321,7 @@ class Session:
         the posterior bundle) runs before the first write to the session, so
         a rejected update leaves it exactly as it was.
         """
-        frozen = (self._frozen_f, self._frozen_vs, self._frozen_vf)
+        frozen = self._frozen
         new_slice = added_slice or not self._slices
         if not new_slice:
             live = self._live()
@@ -969,7 +1330,7 @@ class Session:
             if self._slices:  # freeze the live slice into the running products
                 msg = self._live().message
                 assert msg is not None
-                frozen = (frozen[0] & msg.f_side, frozen[1] & msg.v_side, frozen[2] & msg.v_front)
+                frozen = frozen.add(self.layout, msg)
                 sa, pa = msg.turned_sb, msg.turned_port
             live = _SliceState(
                 created_t=own.t,
@@ -984,14 +1345,15 @@ class Session:
         message, node_arrays = _slice_message(
             self.layout, meas.as_states(), live.sa_in, live.pa_in
         )
-        posterior, node_probs = _posterior_bundle(self.layout, *frozen, message, node_arrays)
+        frozen = frozen.settled(self.layout, message)
+        posterior, node_probs = _posterior_bundle(self.layout, frozen, message, node_arrays)
 
         if new_slice:
             if self._slices:
                 self._live().message = None
             self._slices.append(live)
         live.meas, live.message = meas, message
-        self._frozen_f, self._frozen_vs, self._frozen_vf = frozen
+        self._frozen = frozen
         self._own = own_track
         for track, obs in zip(self._obstacles, obstacles):
             track.append(obs)
@@ -1019,9 +1381,8 @@ class Session:
             h.update(f"{s.created_t},{s.sa_in},{s.pa_in}".encode())
             if s.meas is not None:
                 h.update(repr(sorted(s.meas.as_states().items())).encode())
-        h.update(self._frozen_f.tobytes())
-        h.update(self._frozen_vs.tobytes())
-        h.update(self._frozen_vf.tobytes())
+        for arr in self._frozen.arrays():
+            h.update(b"-" if arr is None else f"{arr.shape}".encode() + arr.tobytes())
         record = self.last_record
         for name, probs in record.posterior.marginals.items():
             h.update(name.encode())

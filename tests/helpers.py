@@ -35,17 +35,22 @@ def layout3(n_ships: int) -> _Layout:
     return _Layout(n_ships, IntentionPriors(), DISC3, None)
 
 
-def draw_slice(data, n_ships: int) -> tuple[dict[str, int], int, int]:
+def draw_slice(
+    data, n_ships: int, held: bool | None = None
+) -> tuple[dict[str, int], int, int]:
     """A hypothesis-drawn ``DISC3`` measurement vector and latch carries.
 
-    Course held (straight, speed unchanged) is drawn half the time, so both
-    branches of ``stands_on_ok_i = C or OR_{j!=i} g_j`` come up.
+    Unless ``held`` fixes it, course held (straight, speed unchanged) is
+    drawn half the time, so both branches of ``stands_on_ok_i = C or
+    OR_{j!=i} g_j`` come up.
     """
     states = {
         v.id: data.draw(st.integers(0, v.cardinality - 1), label=v.id)
         for v in measurement_variables(n_ships, DISC3)
     }
-    if data.draw(st.booleans(), label="course_held"):
+    if held is None:
+        held = data.draw(st.booleans(), label="course_held")
+    if held:
         cic, cis = nodes.STRAIGHT, nodes.NONE
     else:
         changes = [(c, s) for c in range(3) for s in range(3) if not nodes.course_held(c, s)]

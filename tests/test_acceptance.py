@@ -33,7 +33,7 @@ from shipintent.geometry import (
 )
 from shipintent.netbuild import build_intention_dbn
 from shipintent.nodes import at, model_node_specs, model_node_truth
-from shipintent.runtime import init_session, score_candidates, step_update
+from shipintent.runtime import SlicePolicy, init_session, score_candidates, step_update
 from shipintent.trajgen import LosParams, los_candidates
 
 EAST = 0.0
@@ -394,6 +394,29 @@ def test_two_ship_step_meets_latency_budget():
     single = time.perf_counter() - start
     assert len(result.scores) == 6
     assert single < 1.0
+
+
+def test_three_ship_step_meets_latency_budget():
+    # Three obstacles at default bins (a 1.35e8-cell joint): one update plus
+    # scoring the default six-candidate fan must finish in under 1.0 s, both
+    # with the course held (K = 0 coupling slices) and on the step after a
+    # turn that opens a slice coupling the ships over a frozen held one (K = 1).
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = [
+        ShipState(0.0, 4000.0, 600.0, 4.0, math.pi),
+        ShipState(0.0, 2500.0, -3000.0, 5.0, NORTH),
+        ShipState(0.0, -1500.0, 300.0, 7.0, 0.0),
+    ]
+    session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
+    for t, course in ((5.0, EAST), (20.0, EAST - 0.35)):
+        own = ShipState(t, 5.0 * t, 0.0, 5.0, course)
+        start = time.perf_counter()
+        step_update(session, own, [o.advanced(t) for o in obstacles])
+        result = score_candidates(session, los_candidates(session.own_state))
+        single = time.perf_counter() - start
+        assert len(result.scores) == 6
+        assert single < 1.0, (t, single)
+    assert session.slice_count == 2
 
 
 def test_grounding_on_a_warm_coast_index_meets_latency_budget():

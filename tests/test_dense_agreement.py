@@ -97,3 +97,60 @@ def test_three_ship_session_runs_and_matches_dense():
         step_update(session, own, [o.advanced(t) for o in obstacles])
         assert_matches_dense(session, score=k == 3)
     assert session.slice_count >= 2
+
+
+def coupled_count(session):
+    """K: the slices among the frozen and the live one that couple the ships."""
+    return session._frozen.k + session._live().message.coupled
+
+
+def turning_replay(session, obstacles, steps):
+    """Turn the own ship 8 degrees more at every 10 s step.
+
+    Each step then opens a slice (the course moved past the 5 degree
+    threshold since the last one) whose course is not held, so every step
+    adds one more slice that couples the ships.
+    """
+    ks = [coupled_count(session)]
+    for k in range(1, steps + 1):
+        t = 10.0 * k
+        own = ShipState(t, 5.0 * t, -0.5 * k * k, 5.0, EAST - math.radians(8.0 * k))
+        step_update(session, own, [o.advanced(t) for o in obstacles])
+        ks.append(coupled_count(session))
+        yield ks
+
+
+def test_two_ship_replay_turning_over_slices_matches_dense():
+    # Default bins: K = 0 and 1 contract ship by ship, K = 2 and 3 take the
+    # dense path (3**K two-ship terms outgrow the 9e6-cell joint).
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = [
+        ShipState(0.0, 2500.0, 120.0, 4.0, WEST),
+        ShipState(0.0, 1500.0, -2000.0, 5.0, NORTH),
+    ]
+    session = init_session(own0, obstacles, policy=SlicePolicy(max_age=60.0, min_age=5.0))
+    assert not session.layout.factored(2)
+    assert_matches_dense(session)
+    for ks in turning_replay(session, obstacles, 3):
+        assert_matches_dense(session, score=ks[-1] == 1)
+    assert ks == [0, 1, 2, 3]
+
+
+def test_three_ship_replay_turning_over_slices_matches_dense():
+    # Three bins per threshold: K = 0 to 3 contract ship by ship (27 terms at
+    # K = 3), and K = 4 takes the dense path.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = [
+        ShipState(0.0, 2500.0, 120.0, 4.0, WEST),
+        ShipState(0.0, 1500.0, -2000.0, 5.0, NORTH),
+        ShipState(0.0, -1500.0, 300.0, 7.0, EAST),
+    ]
+    session = init_session(
+        own0, obstacles, disc=Discretization().with_bins(3),
+        policy=SlicePolicy(max_age=60.0, min_age=5.0),
+    )
+    assert session.layout.factored(3) and not session.layout.factored(4)
+    assert_matches_dense(session, score=True)
+    for ks in turning_replay(session, obstacles, 4):
+        assert_matches_dense(session, score=ks[-1] in (1, 3))
+    assert ks == [0, 1, 2, 3, 4]

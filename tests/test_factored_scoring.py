@@ -26,12 +26,11 @@ from shipintent.netbuild import measurement_variables
 from shipintent.nodes import SHIP_INTENTIONS, SHIP_MEASUREMENTS, model_node_specs, ship
 from shipintent.runtime import (
     SlicePolicy,
+    _cap,
     _factored_z_f,
     _fold,
     _gives_way,
     _Layout,
-    _Product,
-    _ship_cap,
     _ship_tail,
     init_session,
     score_candidates,
@@ -108,7 +107,7 @@ def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships, disc, n_vectors):
             values = _fold(layout, states, sa, pa)
             for i in range(1, n_ships + 1):
                 g = _gives_way(layout, values, i)
-                caps = [_ship_cap(layout, values, i, s) & g for s in (0, 1)]
+                caps = [_cap(_ship_tail(layout, values, i, s), i) & g for s in (0, 1)]
                 assert not np.any(caps[0] != caps[1]), (states, sa, pa, i)
                 colav = [_ship_tail(layout, values, i, s)[ship("colav_ok", i)] & g for s in (0, 1)]
                 assert not np.any(colav[0] != colav[1]), (states, sa, pa, i)
@@ -118,7 +117,7 @@ def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships, disc, n_vectors):
 
 def full_joint_z_f(layout, dists, states, sa, pa):
     f_side = dense_oracle.fold(layout, states, sa, pa)["f_side"]
-    return _Product([dists[r] for r in layout.f_roots], layout.prior.split).expect(f_side)
+    return float((dense_oracle.dense_weight(layout, dists) * f_side).sum())
 
 
 @pytest.mark.parametrize("n_ships", [1, 2, 3])

@@ -353,15 +353,30 @@ def test_hazard_bound_candidate_scores_near_the_escape_floor():
 # -- contradiction and retraction ---------------------------------------------------
 
 
+STRICT = IntentionPriors(
+    unmodeled=0.0, ground_intent=0.0, colregs_compliant=1.0,
+    good_seamanship=1.0, priority=(0.0, 0.0, 1.0),
+)
+
+
 def test_inexplicable_behaviour_raises_contradiction():
-    priors = IntentionPriors(
-        unmodeled=0.0, ground_intent=0.0, colregs_compliant=1.0,
-        good_seamanship=1.0, priority=(0.0, 0.0, 1.0),
-    )
     own = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     obstacle = ShipState(0.0, 2000.0, 0.0, 5.0, WEST)  # dead-centre collision course
-    with pytest.raises(ContradictionError):
-        init_session(own, [obstacle], priors=priors)
+    with pytest.raises(ContradictionError) as err:
+        init_session(own, [obstacle], priors=STRICT)
+    # The one ship's cap (colav_ok_1 or nav_maneuver_ok_1) holds nowhere.
+    assert err.value.diagnosis == "ship_compatible_1"
+
+
+def test_contradiction_names_the_ship_whose_cap_holds_nowhere():
+    own = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    distant = ShipState(0.0, 40_000.0, 10_000.0, 5.0, EAST)
+    head_on = ShipState(0.0, 2000.0, 0.0, 5.0, WEST)
+    for obstacles, blamed in (([distant, head_on], "ship_compatible_2"),
+                              ([head_on, distant], "ship_compatible_1")):
+        with pytest.raises(ContradictionError) as err:
+            init_session(own, obstacles, priors=STRICT)
+        assert err.value.diagnosis == blamed
 
 
 def test_scoring_leaves_the_session_untouched():
@@ -440,6 +455,41 @@ def test_rejected_update_leaves_the_session_unchanged():
     want = step_update(control, own_at(20.0), [benign.advanced(20.0)])
     assert got == want
     assert session.state_hash() == control.state_hash()
+
+
+def slowing_two_ship_session(**kw):
+    """Two distant ships; the own ship slows at 10 s, so its slice couples them."""
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    far = [ShipState(0.0, 40_000.0, 10_000.0, 5.0, EAST),
+           ShipState(0.0, -40_000.0, 12_000.0, 5.0, WEST)]
+    session = init_session(own0, far, policy=SlicePolicy(max_age=15.0, min_age=5.0), **kw)
+    step_update(session, own0.advanced(10.0), [o.advanced(10.0) for o in far])
+    step_update(session, ShipState(20.0, 100.0, 0.0, 2.0, EAST), [o.advanced(20.0) for o in far])
+    assert session.slice_count == 2
+    assert session._frozen.k + session._live().message.coupled == 1
+    return session, far
+
+
+def test_rejected_update_at_a_coupled_two_ship_step_leaves_the_hash():
+    session, far = slowing_two_ship_session(priors=STRICT)
+    before = session.state_hash()
+    own = ShipState(30.0, 120.0, 0.0, 2.0, EAST)
+    head_on = ShipState(30.0, 2220.0, 0.0, 5.0, WEST)  # no slice opens: K stays 1
+    assert not should_add_slice(session, own, [far[0].advanced(30.0), head_on])
+    with pytest.raises(ContradictionError) as err:
+        step_update(session, own, [far[0].advanced(30.0), head_on])
+    assert err.value.diagnosis == "ship_compatible_2"
+    assert session.state_hash() == before
+    step_update(session, own, [o.advanced(30.0) for o in far])
+    assert session.state_hash() != before
+
+
+def test_sessions_fed_identical_fixes_hash_equal():
+    (a, _), (b, far) = slowing_two_ship_session(), slowing_two_ship_session()
+    assert a.state_hash() == b.state_hash()
+    for s in (a, b):
+        step_update(s, ShipState(30.0, 120.0, 0.0, 2.0, EAST), [o.advanced(30.0) for o in far])
+    assert a.state_hash() == b.state_hash()
 
 
 def test_probabilities_stay_in_the_unit_interval():
