@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import dense_oracle
 from helpers import DISC3, OBSTACLES, draw_slice, layout3
+from shipintent import nodes
 from shipintent.discretize import Discretization, IntentionPriors
 from shipintent.geometry import ShipState
 from shipintent.runtime import (
@@ -94,6 +95,28 @@ def test_slice_message_matches_the_dense_fold(n_ships, data):
             assert all(piece.shape[j] == 1 for j in others)
 
 
+def test_course_held_message_builds_one_full_joint_array():
+    # Default bins, two ships, course held: every stands_on_ok_i is C, so
+    # each ship keeps one piece on the shared axes and its own, and the
+    # message stays well under two boolean arrays over the 9e6-cell joint.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    session = init_session(own0, OBSTACLES[:2])
+    layout = session.layout
+    cells = math.prod(layout.cards)
+    assert cells == 9_000_000
+    states = session.last_record.measurements.as_states()
+    states.update(meas_course_change=nodes.STRAIGHT, meas_speed_change=nodes.NONE)
+    tracemalloc.start()
+    try:
+        message, _ = _slice_message(layout, states, 0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not message.coupled
+    assert _dense(layout, message.caps).any()
+    assert peak < 2 * cells, peak
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_one_pass_bundle_matches_the_separate_contractions(data):
@@ -127,6 +150,36 @@ def test_one_pass_bundle_matches_the_separate_contractions(data):
         layout, frozen_f, frozen.v_side, frozen.v_front, dense_oracle.fold(layout, states, sa, pa)
     )
     assert_bundle_matches(got, want)
+
+
+def test_step_bundle_builds_no_full_joint_array():
+    # Default bins, two ships, one frozen slice: the joint has 9e6 cells, so
+    # one boolean array over it alone would take 9e6 bytes.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = OBSTACLES[:2]
+    session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
+    for t in (10.0, 20.0):
+        own = ShipState(t, 5.0 * t, 0.0, 5.0, EAST + math.radians(0.4 * t))
+        step_update(session, own, [o.advanced(t) for o in obstacles])
+    assert session.slice_count == 2
+    layout = session.layout
+    cells = math.prod(layout.cards)
+    assert cells == 9_000_000
+    live = session._live()
+    message, arrays = _slice_message(layout, live.meas.as_states(), live.sa_in, live.pa_in)
+    frozen = session._frozen
+    pieces = [f for f in frozen.held if f is not None]
+    pieces += [p for caps in frozen.coupled for ship_pieces in caps for p in ship_pieces]
+    assert frozen.dense is None
+    assert not all(p.all() for p in pieces)
+    tracemalloc.start()
+    try:
+        _, node_probs = _posterior_bundle(layout, frozen, message, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert node_probs == session.last_record.node_probs
+    assert peak < cells, peak
 
 
 CASES = [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)]
