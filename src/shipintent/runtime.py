@@ -60,39 +60,50 @@ independence (Boutilier, Friedman, Goldszmidt & Koller, UAI 1996).  As
 So a slice is kept as per-ship pieces (:class:`_SliceMessage`).  When ``C``
 holds, or with one ship, its constraint is the product ``AND_i cap_i(C)``,
 and once frozen it is folded into ``F_i``, the AND of ship i's caps over
-such slices.  Otherwise ``not G = AND_i not g_i`` splits ship by ship and
-the constraint is ``X1 - [not G] X1 + [not G] X0`` with ``X_s = prod_i
-cap_i(s)``: three product terms, kept as ``cap_i(1)``, ``cap_i(0)`` and
-``not g_i`` per ship (:func:`_options`).  With K such slices among the
-frozen and live ones, a step's constraint multiplies out into ``3**K``
-signed terms, each a product over ships, and each is contracted ship by
-ship against the prior: variable elimination on the star-shaped factor
-graph of the shared and per-ship axes (Koller & Friedman 2009, ch. 9-10).
-Per shared cell a term weighs the product of the ships' sums over their own
-axes.  Ship i's pass weighs its factor by the product of the other ships'
-sums, which gives its root marginals and its exported nodes' weights, and
-its own sums for the next ship (:func:`_factored_masses`).  A pass reads its
+such slices.  Otherwise it is ``AND_i cap_i(1)`` where ``G`` holds and
+``AND_i cap_i(0)`` where it fails, kept as ``cap_i(1)``, ``cap_i(0)`` and
+``g_i`` per ship.  Split by the first ship that gives way, ``[G] = sum_m g_m
+prod_{j<m} not g_j``, that is ``n + 1`` disjoint products (:func:`_options`).
+With K such slices among the frozen and live ones, a step's constraint
+multiplies out into ``(n + 1)**K`` disjoint terms, each a product over ships
+and none negative, so the evidence mass is exactly zero only where nothing
+explains the slices.  Each term is contracted ship by ship against the
+prior: variable elimination on the star-shaped factor graph of the shared
+and per-ship axes (Koller & Friedman 2009, ch. 9-10).  Per shared cell a
+term weighs the product of the ships' sums over their own axes.  Ship i's
+pass over one of its factors weighs it by the other ships' sums, added up
+over the terms that share it, which gives its root marginals and its
+exported nodes' weights (:func:`_factored_masses`).  A pass reads its
 operands a block of whole rows at a time and ANDs them per block
-(:meth:`_Product.joint_sums`), so no array larger than one ship's 6e5 cells
-is built: a two-ship step with K <= 1 peaks at about 8 MB, where one boolean
-joint takes 9 MB.  With one ship the single term is the whole joint, and a
-step is one pass over it.
+(:meth:`_Product.joint_sums`); one that only sums a factor per shared cell
+ANDs it into one array over the ship's axes (:meth:`_Product.column_sums`).
+So no array larger than one ship's 6e5 cells is built: a two-ship step with
+K <= 1 peaks under one boolean joint's 9 MB under ``tracemalloc``.  With one
+ship the single term is the whole joint, and a step is one pass over it.
 
-The terms read ``3**K * n`` ship-local arrays, which passes the cells of one
-joint at K = 2 with two ships and K = 4 with three.  From there the session
-ANDs the frozen pieces into one boolean array over the joint (9 MB at two
-ships, 135 MB at three), keeps it and ANDs each later frozen slice into it.
-A step streams it through the same pass, with the live slice's pieces, and
-a coupling slice's ``colav_ok_i``, switched on ``G`` block by block
-(:func:`_dense_masses`), so the live slice still builds nothing over the
-joint.  Freezing a slice into it writes a new copy, so a rejected update
-leaves the kept one as it was, plus one transient joint if the slice
-couples the ships.
+The terms read ``(n + 1)**K * n`` ship-local arrays, which passes the cells
+of one joint at K = 2 with two ships and K = 4 with three
+(:meth:`_Layout.factored`).  Timed at default bins, that is where a pass
+over the joint turns faster: at two ships both take about 0.1 s at K = 2
+and the factored step 0.26-0.32 s at K = 3 against 0.09-0.13 s; at three
+ships the factored step takes 0.7 s at K = 3 and 2.5-2.9 s at K = 4 against
+1.5-1.8 s.  From there the session ANDs the frozen pieces into one boolean
+array over the joint (9 MB at two ships, 135 MB at three) and ANDs each
+later frozen slice into it.  A step builds the live slice's constraint, and
+a coupling slice's ``colav_ok_i`` switched on ``G``, over the joint and
+streams them through one pass (:func:`_dense_masses`); the message keeps
+its constraint, so freezing the slice is one AND into a new array and a
+rejected update leaves the kept one as it was.  At three ships a step
+then holds about seven arrays of 135 MB.
 
 Scoring never builds an array over more than one ship's axes: a candidate
-is one slice, so its weight is the same contraction over its one or three
-terms (:func:`_factored_z_f`).  A candidate costs about ``n * 6e5`` cells
-instead of ``4e4 * 15**n``, one sum per ship and term.
+is one slice, so its weight is the same contraction over its one or ``n +
+1`` terms (:func:`_factored_z_f`).  A candidate costs about ``n * 6e5`` cells
+instead of ``4e4 * 15**n``, one sum per ship and distinct factor.  Nothing
+of a candidate outlives its score, so its ship pieces go into buffers the
+layout keeps, as do every pass's blocks (:func:`_buffer`): a fan allocates
+no array over a ship's axes once the first candidate has run, so one
+session must not be scored from two threads at once.
 
 Grounding is measured for the live pose and for every candidate's lookahead
 pose, so a step on a large hazard map measures seven poses.  Each pose scans
@@ -254,10 +265,11 @@ class ScoreResult:
 # float64 block with ample_time summed out (a bins-th of the cells).  That is
 # about 1.2 MB whatever the ship count, up to 16 bins per threshold.  A pass
 # over one ship's axes reads 6e5 cells at default bins, a dozen blocks.  One
-# that keeps only the per-shared-cell sums takes the cut axis whole instead
-# (one switch cell, 1.5e5 cells, at default bins) and holds no third buffer:
-# 1.35 MB.  The dense pass past the cutover adds a boolean block for
-# ``not G`` and one per switched piece.
+# that keeps only the per-shared-cell sums (_Product.column_sums) ANDs its
+# operands into one boolean array over the ship's axes (6e5 cells at default
+# bins) and converts a run of at most _CHUNK_CELLS cells at a time.  The
+# layout keeps every such buffer for its next pass (_buffer): about 2.5 MB at
+# default bins.
 _CHUNK_CELLS = 1 << 16
 
 
@@ -270,7 +282,7 @@ class _Sums(NamedTuple):
     """What one :meth:`_Product.joint_sums` pass returns."""
 
     right: np.ndarray  # per switch cell, column sums weighted by the other row axes
-    left: np.ndarray | None  # per row, its sum against the column weights
+    left: np.ndarray  # per row, its sum against the column weights
     post: dict[str, float]  # per array, the weight of the AND with it
     prior: dict[str, float]  # per array named in priors, its weight alone
 
@@ -287,11 +299,17 @@ class _Product:
     row axes, the switches among them, and takes a run of the ``cut`` axis
     and every later axis whole.  So it lies within one switch cell, and the
     block of an array that broadcasts over some axes is a view of it, never
-    a copy.
+    a copy.  The block buffers come from ``buffers``, which the products of
+    one layout share, so a pass allocates none once the first has run.
     """
 
     def __init__(
-        self, vecs: Sequence[np.ndarray], axes: Sequence[int], split: int, n_switch: int
+        self,
+        vecs: Sequence[np.ndarray],
+        axes: Sequence[int],
+        split: int,
+        n_switch: int,
+        buffers: dict,
     ) -> None:
         self.vecs = tuple(np.asarray(v, dtype=float) for v in vecs)
         self.axes = tuple(axes)
@@ -308,16 +326,15 @@ class _Product:
         tail = self.shape[self.cut + 1 :]
         step = min(self.shape[self.cut], max(1, _CHUNK_CELLS // math.prod(tail)))
         self.block_shape = (step, *tail)
+        self.buffers = buffers
 
     def view(self, arr: np.ndarray) -> np.ndarray:
         """``arr``, laid out on the layout axes and constant off these, on these alone."""
         return arr.reshape(tuple(arr.shape[j] for j in self.axes))
 
-    def blocks(self, step: int) -> Iterator[tuple[tuple, slice]]:
-        """Each block's index (see :func:`_block`) and its span of :attr:`rows`, in row order.
-
-        A block takes ``step`` cells of the ``cut`` axis.
-        """
+    def blocks(self) -> Iterator[tuple[tuple, slice]]:
+        """Each block's index (see :func:`_block`) and its span of :attr:`rows`, in row order."""
+        step = self.block_shape[0]
         per_run = math.prod(self.shape[self.cut + 1 : self.split])
         r0 = 0
         for lead in np.ndindex(self.shape[: self.cut]):
@@ -338,74 +355,77 @@ class _Product:
             out = out @ vec if out.shape[-1] > 1 else out[..., 0] * vec.sum()
         return float(out)
 
+    def column_sums(self, operands: Sequence[np.ndarray]) -> np.ndarray:
+        """Per switch cell, the column sums of the AND of ``operands``, row-weighted.
+
+        Operands are laid out on these axes.  The AND goes into one boolean
+        buffer over them (a lone operand that spans them all is read as it
+        is), then each switch cell's rows are converted to float64 and
+        contracted against the other row axes' weights, a run of columns at
+        a time (:data:`_CHUNK_CELLS`).
+        """
+        if len(operands) == 1 and operands[0].shape == self.shape:
+            anded = operands[0]
+        else:
+            anded = _buffer(self.buffers, "anded", self.shape, bool)
+            np.logical_and(operands[0], operands[-1], out=anded)
+            for op in operands[1:-1]:
+                np.logical_and(anded, op, out=anded)
+        cells = anded.reshape(len(self.switch), len(self.inner), len(self.cols))
+        step = max(1, _CHUNK_CELLS // len(self.inner))
+        buf = _buffer(self.buffers, "rows", (len(self.inner), min(step, len(self.cols))), float)
+        out = np.empty((len(self.switch), len(self.cols)))
+        for k, rows in enumerate(cells):
+            for c in range(0, len(self.cols), step):
+                block = buf[:, : len(self.cols) - c]
+                np.copyto(block, rows[:, c : c + step])
+                np.matmul(self.inner, block, out=out[k, c : c + step])
+        return out
+
     def joint_sums(
         self,
         operands: Sequence[np.ndarray],
-        arrays: Mapping[str, np.ndarray] | None = None,
+        arrays: Mapping[str, np.ndarray],
         cols: np.ndarray | None = None,
         priors: Collection[str] = (),
-        not_g: Sequence[np.ndarray] = (),
     ) -> _Sums:
         """Weights of the AND of ``operands`` and of every array in it, in one pass.
 
         Operands and arrays are laid out on these axes.  ``cols``, if given,
         holds each switch cell's own column weights (switch cells x column
         cells) in place of :attr:`cols`.  The pass returns, per switch cell,
-        the column sums of the AND weighted by the other row axes.  With
-        ``arrays`` it also returns each row's sum against its column weights
-        and, per array, the weight of ``AND & arr`` (posterior) and, for those
+        the column sums of the AND weighted by the other row axes (as
+        :meth:`column_sums`), each row's sum against its column weights and,
+        per array, the weight of ``AND & arr`` (posterior) and, for those
         named in ``priors``, the weight of ``arr`` alone under this product.
         Each block of the AND is converted to float64 once.  An array that
         spans the first column axis is converted a block at a time too and
         multiplied with the float block.  One that does not meets the block
         after that axis is summed out, a tenth of the cells at ten bins; its
         prior weight is a small contraction of its own (:meth:`expect`).
-
-        Given ``not_g``, every ship's ``not g_j``, an operand or array may be
-        a pair: its values where ``G = OR_j g_j`` fails and where it holds.
-        A pair is switched a block at a time (:func:`_select`), so neither it
-        nor ``G`` is ever built over these axes.
         """
         n_cols, n_inner = len(self.cols), len(self.inner)
-        # A pass that keeps only the column sums takes the cut axis whole:
-        # fewer, larger blocks (see _CHUNK_CELLS).
-        step = self.block_shape[0] if arrays is not None else self.shape[self.cut]
-        mask = np.empty((step, *self.block_shape[1:]), dtype=bool)
-        buf = np.empty(mask.shape)
+        mask = _buffer(self.buffers, "and", self.block_shape, bool)
+        buf = _buffer(self.buffers, "block", self.block_shape, float)
         right = np.zeros((len(self.switch), n_cols))
-        if not_g:  # boolean blocks for not G, a switched array, each switched operand
-            not_g_buf, picked = np.empty(mask.shape, dtype=bool), np.empty(mask.shape, dtype=bool)
-            op_bufs = [np.empty(mask.shape, dtype=bool) for _ in operands]
-        if arrays is not None:
-            n_first = self.shape[self.split]
-            rest = _outer(self.vecs[self.split + 1 :])
-            if cols is not None:  # the column weights already hold these
-                rest = np.ones(len(rest))
-            wide = [
-                name for name, arr in arrays.items()
-                if isinstance(arr, tuple) or arr.shape[self.split] > 1
-            ]
-            narrow = [name for name in arrays if name not in wide]
-            reduced_shape = list(self.block_shape)
-            reduced_shape[self.split - self.cut] = 1
-            scratch, reduced_scratch = np.empty(self.block_shape), np.empty(reduced_shape)
-            # Unweighted sums per row, weighted by the rows after the pass.
-            left = np.empty(len(self.rows))
-            post = {name: np.empty(len(self.rows)) for name in arrays}
-            prior = {name: np.empty(len(self.rows)) for name in wide if name in priors}
-        for index, rows in self.blocks(step):
+        n_first = self.shape[self.split]
+        rest = _outer(self.vecs[self.split + 1 :])
+        if cols is not None:  # the column weights already hold these
+            rest = np.ones(len(rest))
+        wide = [name for name, arr in arrays.items() if arr.shape[self.split] > 1]
+        narrow = [name for name in arrays if name not in wide]
+        reduced_shape = list(self.block_shape)
+        reduced_shape[self.split - self.cut] = 1
+        scratch = _buffer(self.buffers, "node", self.block_shape, float)
+        reduced_scratch = _buffer(self.buffers, "reduced", reduced_shape, float)
+        # Unweighted sums per row, weighted by the rows after the pass.
+        left = np.empty(len(self.rows))
+        post = {name: np.empty(len(self.rows)) for name in arrays}
+        prior = {name: np.empty(len(self.rows)) for name in wide if name in priors}
+        for index, rows in self.blocks():
             m = index[-1].stop - index[-1].start
             switch, r0 = divmod(rows.start, n_inner)
-            if not_g:
-                ng = not_g_buf[:m]
-                np.copyto(ng, _block(not_g[0], index))
-                for arr in not_g[1:]:
-                    np.logical_and(ng, _block(arr, index), out=ng)
-                views = [_pick(op, index, ng, out[:m]) for op, out in zip(operands, op_bufs)]
-                switched = picked[:m]
-            else:
-                ng = switched = None
-                views = [_block(op, index) for op in operands]
+            views = [_block(op, index) for op in operands]
             block = buf[:m]
             if len(views) == 1:
                 np.copyto(block, views[0])
@@ -417,13 +437,11 @@ class _Product:
                 np.copyto(block, anded)
             mat = block.reshape(-1, n_cols)
             right[switch] += self.inner[r0 : r0 + len(mat)] @ mat
-            if arrays is None:
-                continue
             col = self.cols if cols is None else cols[switch]
             left[rows] = mat @ col
             tmp = scratch[:m]
             for name in wide:
-                np.copyto(tmp, _pick(arrays[name], index, ng, switched))
+                np.copyto(tmp, _block(arrays[name], index))
                 if name in prior:
                     prior[name][rows] = tmp.reshape(-1, n_cols) @ self.cols
                 np.multiply(tmp, block, out=tmp)
@@ -439,25 +457,22 @@ class _Product:
                 for name in narrow:
                     np.multiply(summed, _block(arrays[name], index), out=tmp)
                     post[name][rows] = tmp.reshape(-1, len(rest)) @ rest
-        if arrays is None:
-            return _Sums(right, None, {}, {})
         prior_sums = {name: float(self.rows @ per_row) for name, per_row in prior.items()}
         prior_sums.update((name, self.expect(arrays[name])) for name in narrow if name in priors)
         post_sums = {name: float(self.rows @ per_row) for name, per_row in post.items()}
         return _Sums(right, left, post_sums, prior_sums)
 
 
-def _pick(
-    arr: np.ndarray | tuple[np.ndarray, np.ndarray],
-    index: tuple,
-    not_g: np.ndarray | None,
-    out: np.ndarray | None,
-) -> np.ndarray:
-    """The block of ``arr`` at ``index``; a pair's switched on ``not_g``'s block, into ``out``."""
-    if not isinstance(arr, tuple):
-        return _block(arr, index)
-    off, on = (_block(a, index) for a in arr)
-    return _select(not_g, on, off, out)
+def _buffer(buffers: dict, key: object, shape: Sequence[int], dtype: type) -> np.ndarray:
+    """The array ``buffers`` keeps for ``key``, ``shape`` and ``dtype``, made on first use.
+
+    It holds whatever its last user wrote, so two arrays that are live at
+    once must differ in ``key``.
+    """
+    full = (key, tuple(shape), np.dtype(dtype))
+    if full not in buffers:
+        buffers[full] = np.empty(shape, dtype=dtype)
+    return buffers[full]
 
 
 def _block(arr: np.ndarray, index: tuple) -> np.ndarray:
@@ -541,7 +556,9 @@ class _Layout:
         self.switch_axes = tuple(j for j in range(split) if j not in owned)
         self.threshold_axes = tuple(range(split, rank))
         vecs = [self.prior_vec[r] for r in self.f_roots]
-        self.prior = _Product(vecs, range(rank), split, len(self.switch_axes))
+        # Block buffers, shared by every product of this layout (see _CHUNK_CELLS).
+        self.buffers: dict = {}
+        self.prior = _Product(vecs, range(rank), split, len(self.switch_axes), self.buffers)
         self.local = self.factor_weight(self.prior_vec)
 
     def factor_weight(self, dists: Mapping[str, np.ndarray]) -> tuple[_Product, ...]:
@@ -552,7 +569,9 @@ class _Layout:
         """
         n_switch = len(self.switch_axes)
         return tuple(
-            _Product([dists[self.f_roots[j]] for j in axes], axes, n_switch + 2, n_switch)
+            _Product(
+                [dists[self.f_roots[j]] for j in axes], axes, n_switch + 2, n_switch, self.buffers
+            )
             for axes in (
                 (*self.switch_axes, *own, *self.threshold_axes) for own in self.ship_axes
             )
@@ -561,18 +580,25 @@ class _Layout:
     def factored(self, k: int) -> bool:
         """Whether a constraint with ``k`` coupled slices is contracted ship by ship.
 
-        Its ``3**k`` terms read ``n`` ship-local arrays each; past the cells
-        of one joint, ANDing the pieces into the joint reads fewer.
+        Its ``(n + 1)**k`` terms read ``n`` ship-local arrays each; past the
+        cells of one joint, ANDing the pieces into the joint reads fewer.
+        Step timings agree (module docstring): the pass over the joint is as
+        fast at the first K past that line with two ships and faster with
+        three, and faster at every K after it.
         """
-        return 3**k * self.n_ships * math.prod(self.local[0].shape) <= math.prod(self.cards)
+        n = self.n_ships
+        return (n + 1) ** k * n * math.prod(self.local[0].shape) <= math.prod(self.cards)
 
 
-def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
+def _lookup(
+    table: np.ndarray, args: Sequence, buffers: dict | None = None, key: object = None
+) -> np.ndarray | int:
     """``table[args]`` for parents that are scalars or broadcast index arrays.
 
     Scalar parents index the table first.  The array parents, smallest
     first, fold into one small-integer code, so the only operation at the
-    broadcast result's size is a single lookup in the flat table.
+    broadcast result's size is a single lookup in the flat table.  With
+    ``buffers``, the result goes into the buffer kept there for ``key``.
     """
     sub = table[tuple(slice(None) if np.ndim(a) else int(a) for a in args)]
     arrays = [a for a in args if np.ndim(a)]
@@ -585,18 +611,28 @@ def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
     for k, card in zip(order[1:], sub.shape[1:]):
         code = code * code_type(card) + arrays[k]
     flat = sub.ravel()
-    if flat.size > 64:
+    if buffers is None and flat.size > 64:
         return flat[code]
+    if buffers is None:
+        out = np.empty(code.shape, dtype=bool)
+    else:
+        out = _buffer(buffers, key, code.shape, bool)
+    if flat.size > 64:
+        # Every code is in range; "clip" spares the copy "raise" makes of out.
+        return np.take(flat, code, out=out, mode="clip")
     # Up to 64 entries pack into one machine word: a shift and a mask look the
     # codes up without numpy first widening them to intp indices.  The shift
     # runs a chunk at a time, so its word-wide scratch stays small.
     word_type = np.min_scalar_type((1 << flat.size) - 1).type
     word = word_type(sum(1 << int(k) for k in np.flatnonzero(flat)))
-    codes = code.reshape(-1)
-    out = np.empty(codes.size, dtype=bool)
+    codes, cells = code.reshape(-1), out.reshape(-1)
+    shifted = np.empty(min(codes.size, _CHUNK_CELLS), dtype=word_type)
     for s in range(0, codes.size, _CHUNK_CELLS):
-        out[s : s + _CHUNK_CELLS] = (word >> codes[s : s + _CHUNK_CELLS]) & word_type(1)
-    return out.reshape(code.shape)
+        chunk = shifted[: len(codes[s : s + _CHUNK_CELLS])]
+        np.right_shift(word, codes[s : s + _CHUNK_CELLS], out=chunk)
+        np.bitwise_and(chunk, word_type(1), out=chunk)
+        cells[s : s + _CHUNK_CELLS] = chunk
+    return out
 
 
 @dataclass
@@ -606,7 +642,7 @@ class _SliceMessage:
     ``caps[i - 1]`` is ship i's piece of the slice's collision-avoidance
     constraint, on the shared axes and ship i's own: ``(cap_i(C),)`` when
     every ``stands_on_ok`` is the observed ``C`` (the course is held, or one
-    ship), else ``(cap_i(1), cap_i(0), not g_i)``, and the slice couples the
+    ship), else ``(cap_i(1), cap_i(0), g_i)``, and the slice couples the
     ships (see :func:`_options`).
     """
 
@@ -616,6 +652,7 @@ class _SliceMessage:
     nav_maneuver: bool
     turned_sb: int
     turned_port: int
+    dense: np.ndarray | None = None  # the constraint over the joint, past the cutover
 
     @property
     def coupled(self) -> bool:
@@ -629,13 +666,17 @@ class _Frozen:
     ``held[i - 1]`` is ``F_i``, the AND of ship i's caps over the frozen
     slices that do not couple the ships (None before the first), and
     ``coupled`` holds each coupling slice's per-ship pieces.  Once a step's
-    terms would outgrow the joint (:meth:`settled`), all of it is
-    ANDed into ``dense``, one boolean array over the joint, and later slices
-    are ANDed into that.  ``k`` counts the coupling slices either way.
+    terms would cost more than a pass over the joint (:meth:`settled`), all
+    of it is ANDed into ``dense``, one boolean array over the joint, and
+    later slices are ANDed into that.  ``k`` counts the coupling slices
+    either way.  ``loose[i - 1]`` is the AND over every frozen slice of
+    ship i's cap at any value of ``stands_on_ok_i``, which names the ship in
+    a contradiction (:func:`_blame`).
     """
 
     held: tuple[np.ndarray | None, ...]
     coupled: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
+    loose: tuple[np.ndarray | None, ...]
     v_side: np.ndarray
     v_front: np.ndarray
     dense: np.ndarray | None = None
@@ -645,13 +686,14 @@ class _Frozen:
         """This evidence and one more slice's, without touching this one's arrays."""
         held, coupled, dense = self.held, self.coupled, self.dense
         if dense is not None:
-            dense = _dense(layout, msg.caps, dense.copy())
+            dense = dense & (_dense(layout, msg.caps) if msg.dense is None else msg.dense)
         elif msg.coupled:
             coupled = (*coupled, msg.caps)
         else:
-            held = tuple(cap if f is None else f & cap for f, (cap,) in zip(held, msg.caps))
+            held = tuple(_and(f, cap) for f, (cap,) in zip(held, msg.caps))
+        loose = tuple(_and(f, _loose(pieces)) for f, pieces in zip(self.loose, msg.caps))
         v_side, v_front = self.v_side & msg.v_side, self.v_front & msg.v_front
-        return _Frozen(held, coupled, v_side, v_front, dense, self.k + msg.coupled)
+        return _Frozen(held, coupled, loose, v_side, v_front, dense, self.k + msg.coupled)
 
     def settled(self, layout: _Layout, live: _SliceMessage) -> _Frozen:
         """This evidence, as one dense joint once a step with ``live`` is past the cutover."""
@@ -662,7 +704,7 @@ class _Frozen:
             if f is not None:
                 dense &= f
         for caps in self.coupled:
-            _dense(layout, caps, dense)
+            dense &= _dense(layout, caps)
         return replace(self, held=(None,) * layout.n_ships, coupled=(), dense=dense)
 
     def arrays(self) -> Iterator[np.ndarray | None]:
@@ -671,7 +713,18 @@ class _Frozen:
         for caps in self.coupled:
             for pieces in caps:
                 yield from pieces
+        yield from self.loose
         yield from (self.dense, self.v_side, self.v_front)
+
+
+def _and(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
+    """``a & b``, where None is true everywhere."""
+    return b if a is None else a if b is None else a & b
+
+
+def _loose(pieces: Sequence[np.ndarray]) -> np.ndarray:
+    """A ship's cap at any value of ``stands_on_ok``: ``cap_i(1) or cap_i(0)``."""
+    return pieces[0] if len(pieces) == 1 else pieces[0] | pieces[1]
 
 
 _SKIP_NODES = {"ground_safe", "compatible"}
@@ -692,12 +745,21 @@ def _reading(
 
 
 def _evaluate(
-    layout: _Layout, specs: Sequence[nodes.ModelNodeSpec], values: MutableMapping[str, object]
+    layout: _Layout,
+    specs: Sequence[nodes.ModelNodeSpec],
+    values: MutableMapping[str, object],
+    buffers: dict | None = None,
+    slot: object = None,
 ) -> None:
-    """Look each spec up in its truth table on the parent values, in order."""
+    """Look each spec up in its truth table on the parent values, in order.
+
+    With ``buffers``, each node's array goes into the buffer kept there for
+    the node and ``slot`` (see :func:`_buffer`).
+    """
     for spec in specs:
+        args = [values[p] for p in spec.parents]
         values[spec.node_id] = _lookup(
-            layout.tables[spec.node_id], [values[p] for p in spec.parents]
+            layout.tables[spec.node_id], args, buffers, (spec.node_id, slot)
         )
 
 
@@ -723,22 +785,31 @@ def _fold(
     return values
 
 
-def _cap(values: Mapping[str, object], i: int) -> np.ndarray:
+_CAP_BASES = ("colav_ok", "nav_maneuver_ok")
+
+
+def _cap(values: Mapping[str, object], i: int, out: np.ndarray | None = None) -> np.ndarray:
     """Ship ``i``'s cap: its collision-avoidance rules or the planned route explain the slice."""
-    return np.logical_or(values[ship("colav_ok", i)], values[ship("nav_maneuver_ok", i)])
+    return np.logical_or(*(values[ship(b, i)] for b in _CAP_BASES), out=out)
 
 
 def _ship_tail(
-    layout: _Layout, values: Mapping[str, object], i: int, s: int
+    layout: _Layout,
+    values: Mapping[str, object],
+    i: int,
+    s: int,
+    buffers: dict | None = None,
+    slot: object = None,
 ) -> Mapping[str, object]:
     """Ship ``i``'s tail nodes with ``stands_on_ok_i`` fixed to ``s``, over ``values``.
 
     The tail (``layout.tails[i - 1]``: ``gives_way_ok_i``, ``colav_ok_i``)
     then spans the shared axes and ship ``i``'s own only.  Its values go
-    into a scope of their own, so ``values`` is left as it was.
+    into a scope of their own, so ``values`` is left as it was; with
+    ``buffers``, into the buffers kept there for ``slot``.
     """
     scope = ChainMap({layout.stands_on[i - 1]: s}, values)
-    _evaluate(layout, layout.tails[i - 1], scope)
+    _evaluate(layout, layout.tails[i - 1], scope, buffers, slot)
     return scope
 
 
@@ -759,21 +830,34 @@ def _standing(layout: _Layout, values: Mapping[str, object]) -> bool | None:
 
 
 def _ship_pieces(
-    layout: _Layout, values: Mapping[str, object], i: int, standing: bool | None
+    layout: _Layout,
+    values: Mapping[str, object],
+    i: int,
+    standing: bool | None,
+    buffers: dict | None = None,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Ship ``i``'s piece of a slice's constraint and its ``colav_ok_i``.
 
     The piece is as :class:`_SliceMessage` keeps it.  With
     ``stands_on_ok_i`` observed (``standing``), ``colav_ok_i`` is one array;
-    otherwise it is the pair at ``stands_on_ok_i`` = 0 and 1.
+    otherwise it is the pair at ``stands_on_ok_i`` = 0 and 1.  With
+    ``buffers``, the arrays are written into buffers kept there, valid until
+    the next call for the same ship.
     """
     colav = ship("colav_ok", i)
-    if standing is not None:
-        tail = _ship_tail(layout, values, i, standing)
-        return (_cap(tail, i),), tail[colav]
-    tails = [_ship_tail(layout, values, i, s) for s in (0, 1)]
-    not_g = np.logical_not(_gives_way(layout, values, i))
-    return (_cap(tails[1], i), _cap(tails[0], i), not_g), (tails[0][colav], tails[1][colav])
+
+    def cap(s: int, slot: int) -> tuple[np.ndarray, np.ndarray]:
+        tail = _ship_tail(layout, values, i, s, buffers, slot)
+        if buffers is None:
+            return _cap(tail, i), tail[colav]
+        shape = np.broadcast_shapes(*(np.shape(tail[ship(b, i)]) for b in _CAP_BASES))
+        return _cap(tail, i, _buffer(buffers, ("cap", i, slot), shape, bool)), tail[colav]
+
+    if standing is not None:  # one tail, in the buffers of either slot
+        piece, colav_s = cap(standing, 0)
+        return (piece,), colav_s
+    (c0, colav0), (c1, colav1) = cap(0, 0), cap(1, 1)
+    return (c1, c0, _gives_way(layout, values, i)), (colav0, colav1)
 
 
 def _slice_message(
@@ -808,29 +892,41 @@ def _slice_message(
     return message, node_arrays
 
 
-_Term = tuple[int, int | None, tuple[tuple[np.ndarray, ...], ...]]
+_Term = tuple[int | None, tuple[tuple[np.ndarray, ...], ...]]
 
 
 def _options(caps: Sequence[Sequence[np.ndarray | None]]) -> tuple[_Term, ...]:
-    """One slice's constraint as signed terms, each a product over ships.
+    """One slice's constraint as disjoint terms, each a product over ships.
 
-    A term is ``(sign, s, ops)``: ship i's factor is the AND of ``ops[i -
-    1]`` and ``s`` is the value ``stands_on_ok`` takes in it (None when the
-    slice does not couple).  A slice that does not couple is one product,
-    ``AND_i cap_i(C)``.  One that does is ``AND_i cap_i(1)`` where ``G =
-    OR_j g_j`` holds and ``AND_i cap_i(0)`` where it fails: every ship reads
-    the one switch ``G``, as ``g_i`` makes ship i's tail ignore
-    ``stands_on_ok_i``.  ``not G = AND_i not g_i`` splits ship by ship, so
-    with ``X_s = prod_i cap_i(s)`` it is ``X1 - [not G] X1 + [not G] X0``:
-    three terms.  A None piece is true everywhere.
+    A term is ``(s, ops)``: ship i's factor is the AND of ``ops[i - 1]`` and
+    ``s`` is the value ``stands_on_ok`` takes in it (None when the slice
+    does not couple).  A slice that does not couple is one product, ``AND_i
+    cap_i(C)``.  One that does is ``AND_i cap_i(1)`` where ``G = OR_j g_j``
+    holds and ``AND_i cap_i(0)`` where it fails: every ship reads the one
+    switch ``G``, as ``g_i`` makes ship i's tail ignore ``stands_on_ok_i``.
+    Split by the first ship that gives way, ``[G] = sum_m g_m prod_{j<m} not
+    g_j``, that is ``n + 1`` disjoint products: in term m, ship j's factor
+    is ``cap_j(1)`` with ``not g_j`` before m, with ``g_j`` at m and alone
+    after m; in the last, every ship's is ``cap_j(0)`` with ``not g_j``.  No
+    term is negative, so a weight summed from them is exactly zero only
+    where the constraint holds nowhere.  A None piece is true everywhere.
     """
     if len(caps[0]) == 1:
-        return ((1, None, tuple(tuple(c) for c in caps)),)
-    return (
-        (1, 1, tuple((c1,) for c1, _, _ in caps)),
-        (-1, 1, tuple((c1, not_g) for c1, _, not_g in caps)),
-        (1, 0, tuple((c0, not_g) for _, c0, not_g in caps)),
-    )
+        return ((None, tuple(tuple(c) for c in caps)),)
+    factors = []  # per ship: cap(1) alone, with g, with not g; cap(0) with not g
+    for c1, c0, g in caps:
+        not_g = np.logical_not(g)
+        factors.append((_ops(c1), _ops(c1, g), _ops(c1, not_g), _ops(c0, not_g)))
+    terms = [
+        (1, tuple(f[2] if j < m else f[1] if j == m else f[0] for j, f in enumerate(factors)))
+        for m in range(len(caps))
+    ]
+    return (*terms, (0, tuple(f[3] for f in factors)))
+
+
+def _ops(*pieces: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    """A factor's operands, leaving out the pieces that are true everywhere."""
+    return tuple(p for p in pieces if p is not None)
 
 
 def _terms(
@@ -838,27 +934,38 @@ def _terms(
 ) -> list[_Term]:
     """``AND_i base[i - 1]`` times every slice's constraint, multiplied out.
 
-    With K coupling slices that is ``3**K`` signed terms, each a product over
-    ships; ``s`` is the last slice's.
+    With K coupling slices that is ``(n + 1)**K`` disjoint terms, each a
+    product over ships; ``s`` is the last slice's.
     """
-    terms: list[_Term] = [(1, None, tuple(tuple(b) for b in base))]
+    terms: list[_Term] = [(None, tuple(tuple(b) for b in base))]
     for caps in slices:
+        options = _options(caps)
         terms = [
-            (sign * o_sign, s, tuple(a + b for a, b in zip(ops, o_ops)))
-            for sign, _, ops in terms
-            for o_sign, s, o_ops in _options(caps)
+            (s, tuple(a + b for a, b in zip(ops, o_ops)))
+            for _, ops in terms
+            for s, o_ops in options
         ]
     return terms
 
 
-def _ship_sums(product: _Product, ops: Sequence[np.ndarray | None]) -> np.ndarray | float:
-    """Ship sums of the AND of ``ops`` per shared cell: the row sums of :meth:`_Product.joint_sums`.
+def _ship_sums(
+    product: _Product, ops: Sequence[np.ndarray], cache: dict | None = None
+) -> np.ndarray | float:
+    """Ship sums of the AND of ``ops`` per shared cell (:meth:`_Product.column_sums`).
 
     With no ops, the ship's factor is true everywhere and its sum is the
-    total weight of the ship's own axes.
+    total weight of the ship's own axes.  ``cache`` keeps the sums by the
+    operands' identities, so a factor that several terms share is summed
+    once.
     """
-    arrays = [product.view(a) for a in ops if a is not None]
-    return product.joint_sums(arrays).right if arrays else float(product.inner.sum())
+    key = tuple(map(id, ops))
+    if cache is not None and key in cache:
+        return cache[key]
+    arrays = [product.view(a) for a in ops]
+    sums = product.column_sums(arrays) if arrays else float(product.inner.sum())
+    if cache is not None:
+        cache[key] = sums
+    return sums
 
 
 def _shared_weight(product: _Product, per_cell: np.ndarray) -> float:
@@ -867,25 +974,24 @@ def _shared_weight(product: _Product, per_cell: np.ndarray) -> float:
 
 
 def _z(weight: Sequence[_Product], terms: Sequence[_Term]) -> float:
-    """Weight of a signed sum of product terms under a per-ship product weight.
+    """Weight of a sum of product terms under a per-ship product weight.
 
     Per shared cell, a term weighs the product of the ships' sums of their
     factors (variable elimination on the star of shared and per-ship axes,
     Koller & Friedman 2009, ch. 9-10); the terms are summed per cell, then
     contracted against the shared axes' weight.
     """
-    acc = None
-    for sign, _, ops in terms:
-        acc = _accumulate(acc, sign, (_ship_sums(p, o) for p, o in zip(weight, ops)))
-    return _shared_weight(weight[0], acc)
+    caches: list[dict] = [{} for _ in weight]
+    per_cell = sum(
+        _product(_ship_sums(p, o, c) for p, o, c in zip(weight, ops, caches)) for _, ops in terms
+    )
+    return _shared_weight(weight[0], per_cell)
 
 
-def _accumulate(acc: np.ndarray | None, sign: int, sums: Iterable) -> np.ndarray:
-    """``acc`` plus ``sign`` times the product of ``sums``, in place after the first term."""
-    term = functools.reduce(np.multiply, sums)
-    if acc is None:
-        return term
-    return np.add(acc, term, out=acc) if sign > 0 else np.subtract(acc, term, out=acc)
+def _product(factors: Iterable) -> np.ndarray | float:
+    """The product of per-shared-cell sums: a lone one itself, uncopied, and 1.0 for none."""
+    factors = list(factors)
+    return functools.reduce(np.multiply, factors) if factors else 1.0
 
 
 def _factored_z_f(
@@ -895,39 +1001,57 @@ def _factored_z_f(
 
     ``values`` is the slice's shared fold.  The one-slice case of the step's
     contraction: the slice's terms (:func:`_options`) through :func:`_z`.
+    Nothing outlives the call, so the ship pieces go into the layout's
+    buffers: scoring a fan allocates no array over a ship's axes after its
+    first candidate.
     """
     standing = _standing(layout, values)
-    caps = [_ship_pieces(layout, values, i, standing)[0] for i in range(1, layout.n_ships + 1)]
+    caps = [
+        _ship_pieces(layout, values, i, standing, layout.buffers)[0]
+        for i in range(1, layout.n_ships + 1)
+    ]
     return _z(weight, _options(caps))
 
 
 def _dense(
-    layout: _Layout, caps: Sequence[Sequence[np.ndarray]], out: np.ndarray | None = None
+    layout: _Layout, caps: Sequence[Sequence[np.ndarray]], g: np.ndarray | None = None
 ) -> np.ndarray:
-    """AND one slice's constraint into ``out``, a boolean array over the whole joint.
+    """One slice's constraint as a boolean array over the whole joint.
 
-    ``out`` is a new all-true array by default.
+    A coupling slice's ANDs, ship by ship, ``cap_i(1)`` where ``G = OR_j
+    g_j`` holds and ``cap_i(0)`` where it fails (:func:`_switch`); ``g`` is
+    ``G`` if the caller has it.
     """
-    out = np.ones(layout.cards, dtype=bool) if out is None else out
     if len(caps[0]) == 1:
+        out = np.ones(layout.cards, dtype=bool)
         for (cap,) in caps:
             out &= cap
         return out
-    not_g = functools.reduce(np.logical_and, (pieces[2] for pieces in caps))
-    switched = np.empty(layout.cards, dtype=bool)
-    for cap1, cap0, _ in caps:
-        out &= _select(not_g, cap1, cap0, switched)
+    g = _any_gives_way(caps) if g is None else g
+    out = _switch(g, caps[0][0], caps[0][1])
+    switched = np.empty_like(out)
+    for cap1, cap0, _ in caps[1:]:
+        out &= _switch(g, cap1, cap0, switched)
     return out
 
 
-def _select(not_g: np.ndarray, on: np.ndarray, off: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``on`` where ``G = OR_j g_j`` holds and ``off`` where ``not_g`` does, into ``out``.
+def _any_gives_way(caps: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
+    """``G = OR_j g_j`` of a coupling slice, on the shared axes and every ship's own."""
+    return functools.reduce(np.logical_or, (pieces[2] for pieces in caps))
 
-    As ``on ^ (not_g & (on ^ off))``: logical operations, which broadcast the
+
+def _switch(
+    g: np.ndarray, on: np.ndarray, off: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """``on`` where ``g`` holds and ``off`` elsewhere, into ``out`` (a new array by default).
+
+    As ``off ^ (g & (on ^ off))``: logical operations, which broadcast the
     operands cell by cell into ``out`` with no temporary of its size.
     """
-    np.logical_and(not_g, np.logical_xor(on, off), out=out)
-    return np.logical_xor(out, on, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(g.shape, on.shape, off.shape), dtype=bool)
+    np.logical_and(g, np.logical_xor(on, off), out=out)
+    return np.logical_xor(out, off, out=out)
 
 
 def _branch_masses(
@@ -967,15 +1091,16 @@ def _factored_masses(
     node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
     live: _SliceMessage,
 ) -> _Masses:
-    """The step's masses ship by ship, from the constraint's signed terms.
+    """The step's masses ship by ship, from the constraint's disjoint terms.
 
-    Per term, every ship's sums per shared cell; ship i's pass weighs its
-    factor by the product of the other ships' sums, which gives its root
-    marginals and its exported nodes' weights.  A pass also yields its own
-    ship's sums, so ship 1 needs no separate one, and with one ship a step
-    is a single pass.  A ship's exported node weighs ``AND & node``; as
-    ``cap_i`` contains ``colav_ok_i``, a coupling slice's ``colav_ok_i`` in a
-    term is the array at that term's ``s``.
+    Every ship's sums per shared cell, once per distinct factor.  Ship i's
+    pass over one of its factors weighs it by the other ships' sums, added
+    up over the terms that share the factor, which gives its root marginals
+    and its exported nodes' weights.  A pass also yields its own ship's
+    sums, so ship 1 needs no separate one, and with one ship a step is a
+    single pass.  A ship's exported node weighs ``AND & node``; as ``cap_i``
+    contains ``colav_ok_i``, a coupling slice's ``colav_ok_i`` in a term is
+    the array at that term's ``s``.
     """
     n = layout.n_ships
     weight = layout.local
@@ -989,34 +1114,45 @@ def _factored_masses(
         pair = node_arrays[ship("colav_ok", i)]
         if isinstance(pair, tuple):
             # The prior of [G] colav(1) + [not G] colav(0): the slice's
-            # three terms with colav in ship i's cap and true in the others'.
+            # terms with colav in ship i's cap and true in the others'.
             pieces = [(None, None, c[2]) for c in live.caps]
             pieces[i - 1] = (pair[1], pair[0], live.caps[i - 1][2])
             prior[ship("colav_ok", i)] = _z(weight, _options(pieces))
-    acc = None  # per shared cell, the terms' signed sum of their products
+    caches: list[dict] = [{} for _ in weight]
+    keys = [tuple(tuple(map(id, o)) for o in ops) for _, ops in terms]
+    for _, ops in terms:
+        for p, o, cache in zip(weight[1:], ops[1:], caches[1:]):
+            _ship_sums(p, o, cache)
     rows: list[np.ndarray | float] = [0.0] * n
     post = dict.fromkeys(node_arrays, 0.0)
-    for k, (sign, s, ops) in enumerate(terms):
-        ops = [[p.view(a) for a in o] for p, o in zip(weight, ops)]
-        sums: list = [None, *(p.joint_sums(o).right for p, o in zip(weight[1:], ops[1:]))]
-        for i, p in enumerate(weight):
-            others = [sums[j] for j in range(n) if j != i]
-            cols = p.cols * functools.reduce(np.multiply, others) if others else None
+    per_cell = 0.0  # per shared cell, the terms' sum of their products
+    for i, p in enumerate(weight):
+        if n > 1 and i == n - 1:  # no later pass reads the last ship's sums
+            caches[i].clear()
+        groups: dict = {}  # (factor, s) -> [ops, s, the other ships' summed weight]
+        for (s, ops), key in zip(terms, keys):
+            others = _product(caches[j][key[j]] for j in range(n) if j != i)
+            group = groups.setdefault((key[i], s), [ops[i], s, None])
+            group[2] = others if group[2] is None else group[2] + others
+        scale = math.prod(totals[:i] + totals[i + 1 :])
+        for first, ((key, _), (ops, s, others)) in enumerate(groups.items()):
             arrays = {
                 name: p.view(a[s] if isinstance(a, tuple) else a)
                 for name, a in ship_nodes[i].items()
             }
-            # Priors once, from the first term; a coupling colav_ok_i's above.
-            fixed = [] if k else [nm for nm, a in ship_nodes[i].items() if not isinstance(a, tuple)]
-            r = p.joint_sums(ops[i], arrays, cols, fixed)
-            sums[i] = r.right
-            rows[i] = rows[i] + sign * (p.rows * r.left)
+            # Priors once, from the first pass; a coupling colav_ok_i's above.
+            fixed = [nm for nm, a in ship_nodes[i].items() if not isinstance(a, tuple)]
+            ops = [p.view(a) for a in ops]
+            cols = p.cols * others if n > 1 else None
+            r = p.joint_sums(ops, arrays, cols, [] if first else fixed)
+            if i == 0:
+                caches[0][key] = r.right
+                per_cell = per_cell + r.right * others
+            rows[i] = rows[i] + p.rows * r.left
             for name, v in r.post.items():
-                post[name] += sign * v
-            scale = math.prod(totals[:i] + totals[i + 1 :])
+                post[name] += v
             prior.update((name, scale * v) for name, v in r.prior.items())
-        acc = _accumulate(acc, sign, sums)
-    return _Masses(*_shared_masses(weight[0], acc), list(zip(weight, rows)), post, prior)
+    return _Masses(*_shared_masses(weight[0], per_cell), list(zip(weight, rows)), post, prior)
 
 
 def _dense_masses(
@@ -1027,17 +1163,19 @@ def _dense_masses(
 ) -> _Masses:
     """The step's masses from one pass over the whole joint, past the cutover.
 
-    ``frozen`` is the frozen slices' dense joint; the live slice's pieces,
-    and a coupling slice's ``colav_ok_i``, are switched on ``G`` block by
-    block.
+    ``frozen`` is the frozen slices' dense joint.  The live slice's
+    constraint, and a coupling slice's ``colav_ok_i`` switched on ``G``, are
+    built over the joint once; the message keeps its constraint, so freezing
+    the slice is one AND (:meth:`_Frozen.add`).
     """
     p = layout.prior
-    if live.coupled:
-        not_g = tuple(pieces[2] for pieces in live.caps)
-        ops = [(pieces[1], pieces[0]) for pieces in live.caps]
-    else:
-        not_g, ops = (), [pieces[0] for pieces in live.caps]
-    r = p.joint_sums((frozen, *ops), node_arrays, None, node_arrays, not_g)
+    g = _any_gives_way(live.caps) if live.coupled else None
+    live.dense = _dense(layout, live.caps, g)
+    arrays = {
+        name: _switch(g, a[1], a[0]) if isinstance(a, tuple) else a
+        for name, a in node_arrays.items()
+    }
+    r = p.joint_sums((frozen, live.dense), arrays, None, arrays)
     return _Masses(*_shared_masses(p, r.right), [(p, p.rows * r.left)], r.post, r.prior)
 
 
@@ -1059,14 +1197,16 @@ def _root_masses(layout: _Layout, masses: _Masses) -> list[np.ndarray]:
     return [out[j] for j in range(len(layout.cards))]
 
 
-def _blame(layout: _Layout, terms: Sequence[_Term]) -> str:
+def _blame(layout: _Layout, frozen: _Frozen, live: _SliceMessage) -> str:
     """The node a contradiction names.
 
-    That is ``ship_compatible_i`` (ship i's cap) if ship i's factor weighs
-    nothing in every term, else ``compatible``.
+    That is ``ship_compatible_i`` (ship i's cap) if ship i's caps over every
+    slice, each at any value of ``stands_on_ok_i``, hold together nowhere
+    the prior weighs: then no term weighs anything, whatever the other
+    ships do.  Else ``compatible``.
     """
-    for i, p in enumerate(layout.local):
-        if all(_shared_weight(p, _ship_sums(p, ops[i])) == 0.0 for _, _, ops in terms):
+    for i, (p, f, pieces) in enumerate(zip(layout.local, frozen.loose, live.caps)):
+        if _shared_weight(p, _ship_sums(p, (_and(f, _loose(pieces)),))) == 0.0:
             return ship("ship_compatible", i + 1)
     return "compatible"
 
@@ -1077,16 +1217,15 @@ def _posterior_bundle(
     live: _SliceMessage,
     node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
 ) -> tuple[IntentionPosterior, dict[str, float]]:
-    """Exact posteriors and live-node probabilities from the slice messages."""
-    frozen = frozen.settled(layout, live)
-    terms = None
+    """Exact posteriors and live-node probabilities from the slice messages.
+
+    ``frozen`` is settled for this step (:meth:`_Frozen.settled`): ship by
+    ship while it keeps pieces, one pass over its dense joint once it does
+    not.
+    """
     if frozen.dense is None:
         base = [[] if f is None else [f] for f in frozen.held]
-        if not live.coupled:
-            for ops, (cap,) in zip(base, live.caps):
-                ops.append(cap)
-        slices = [*frozen.coupled, live.caps] if live.coupled else frozen.coupled
-        terms = _terms(base, slices)
+        terms = _terms(base, [*frozen.coupled, live.caps])
         masses = _factored_masses(layout, terms, node_arrays, live)
     else:
         masses = _dense_masses(layout, frozen.dense, live, node_arrays)
@@ -1103,7 +1242,7 @@ def _posterior_bundle(
     a_u, a_g, a_s = _branch_masses(p_u, p_g, z_f, z_s, z_fr)
     total = a_u + a_g + a_s
     if total <= 0.0:
-        blamed = _blame(layout, terms) if terms is not None and z_f <= 0.0 else "compatible"
+        blamed = _blame(layout, frozen, live) if z_f <= 0.0 else "compatible"
         raise ContradictionError(
             "no intention assignment explains the observed behaviour", diagnosis=blamed
         )
@@ -1191,6 +1330,7 @@ class Session:
         self._frozen = _Frozen(
             held=(None,) * self.n_ships,
             coupled=(),
+            loose=(None,) * self.n_ships,
             v_side=np.ones(disc.ground_side.bins, dtype=bool),
             v_front=np.ones(disc.ground_front.bins, dtype=bool),
         )

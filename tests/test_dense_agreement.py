@@ -122,7 +122,7 @@ def turning_replay(session, obstacles, steps):
 
 def test_two_ship_replay_turning_over_slices_matches_dense():
     # Default bins: K = 0 and 1 contract ship by ship, K = 2 and 3 take the
-    # dense path (3**K two-ship terms outgrow the 9e6-cell joint).
+    # dense path ((n + 1)**K two-ship terms outgrow the 9e6-cell joint).
     own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     obstacles = [
         ShipState(0.0, 2500.0, 120.0, 4.0, WEST),
@@ -137,7 +137,7 @@ def test_two_ship_replay_turning_over_slices_matches_dense():
 
 
 def test_three_ship_replay_turning_over_slices_matches_dense():
-    # Three bins per threshold: K = 0 to 3 contract ship by ship (27 terms at
+    # Three bins per threshold: K = 0 to 3 contract ship by ship (64 terms at
     # K = 3), and K = 4 takes the dense path.
     own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     obstacles = [

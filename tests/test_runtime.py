@@ -484,6 +484,49 @@ def test_rejected_update_at_a_coupled_two_ship_step_leaves_the_hash():
     assert session.state_hash() != before
 
 
+def slowing_session(far, coupled, **kw):
+    """Distant ships; the own ship slows to 2 m/s at 20 s and holds it.
+
+    Its speed differs from the start in every later slice, so each couples
+    the ships; a slice opens every 20 s until ``coupled`` of them do.
+    Returns the session and the own ship's last state.
+    """
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    session = init_session(own0, far, policy=SlicePolicy(max_age=15.0, min_age=5.0), **kw)
+    step_update(session, own0.advanced(10.0), [o.advanced(10.0) for o in far])
+    t = 20.0
+    while t == 20.0 or session._frozen.k + session._live().message.coupled < coupled:
+        own = ShipState(t, 100.0 + 2.0 * (t - 20.0), 0.0, 2.0, EAST)
+        step_update(session, own, [o.advanced(t) for o in far])
+        t += 20.0
+    assert session._frozen.k + session._live().message.coupled == coupled
+    return session, own
+
+
+@pytest.mark.parametrize("n_ships, coupled", [(2, 2), (3, 3)])
+def test_contradiction_over_several_coupling_slices_names_the_ship(n_ships, coupled):
+    # Two ships at K = 2 take the dense path; three at K = 3 stay factored,
+    # where the evidence mass is a sum of 64 disjoint terms that must come
+    # to exactly zero.  The last ship turns up head-on without opening a
+    # slice: the update raises, names that ship and leaves the hash.
+    far = [ShipState(0.0, 40_000.0, 10_000.0, 5.0, EAST),
+           ShipState(0.0, 60_000.0, 20_000.0, 5.0, EAST),
+           ShipState(0.0, -40_000.0, 12_000.0, 5.0, WEST)]
+    if n_ships == 2:
+        far = [far[0], far[2]]
+    session, own = slowing_session(far, coupled, priors=STRICT)
+    assert (session._frozen.dense is None) == (n_ships == 3)
+    before = session.state_hash()
+    own = own.advanced(10.0)
+    fixes = [o.advanced(own.t) for o in far[:-1]]
+    fixes.append(ShipState(own.t, own.x + 2100.0, 0.0, 5.0, WEST))
+    assert not should_add_slice(session, own, fixes)
+    with pytest.raises(ContradictionError) as err:
+        step_update(session, own, fixes)
+    assert err.value.diagnosis == f"ship_compatible_{n_ships}"
+    assert session.state_hash() == before
+
+
 def test_sessions_fed_identical_fixes_hash_equal():
     (a, _), (b, far) = slowing_two_ship_session(), slowing_two_ship_session()
     assert a.state_hash() == b.state_hash()

@@ -3,11 +3,12 @@
 ``_slice_message`` evaluates each ship's coupled nodes with
 ``stands_on_ok_i`` fixed to a scalar, so every piece it keeps spans the
 shared axes and one ship's own.  ``_posterior_bundle`` multiplies the
-frozen and live pieces out into signed product terms, ``3**K`` of them for
-K coupling slices, and contracts each term per ship over the shared block;
-past a cutover derived from array sizes it ANDs the pieces into one dense
-joint instead.  These tests pin the pieces against the dense fold, the
-bundle against the dense oracle for every K, and the memory a step saves.
+frozen and live pieces out into disjoint product terms, ``(n + 1)**K`` of
+them for K coupling slices, and contracts each term per ship over the
+shared block; past a cutover derived from array sizes it ANDs the pieces
+into one dense joint instead.  These tests pin the pieces against the
+dense fold, the bundle against the dense oracle for every K, and the
+memory a step saves.
 """
 
 import functools
@@ -42,8 +43,8 @@ TOL = 1e-12
 def dense_node(layout, message, arr):
     """An exported node over the whole joint; a coupling slice's colav_ok switches on G."""
     if isinstance(arr, tuple):
-        not_g = functools.reduce(np.logical_and, (pieces[2] for pieces in message.caps))
-        arr = np.where(not_g, arr[0], arr[1])
+        g = functools.reduce(np.logical_or, (pieces[2] for pieces in message.caps))
+        arr = np.where(g, arr[1], arr[0])
     return np.broadcast_to(arr, layout.cards)
 
 
@@ -137,6 +138,7 @@ def test_one_pass_bundle_matches_the_separate_contractions(data):
     frozen = _Frozen(
         tuple(held),
         (),
+        tuple(held),
         rng.random(DISC3.ground_side.bins) < 0.7,
         rng.random(DISC3.ground_front.bins) < 0.7,
     )
@@ -203,6 +205,7 @@ def test_bundle_with_k_coupling_slices_matches_the_dense_oracle(n_ships, k, data
     frozen = _Frozen(
         (None,) * n_ships,
         (),
+        (None,) * n_ships,
         np.ones(DISC3.ground_side.bins, dtype=bool),
         np.ones(DISC3.ground_front.bins, dtype=bool),
     )
@@ -214,14 +217,14 @@ def test_bundle_with_k_coupling_slices_matches_the_dense_oracle(n_ships, k, data
     assert frozen.k + live.coupled == k
     assert layout.factored(k) == (n_ships == 3 or k < 2)
 
-    got = _posterior_bundle(layout, frozen, live, arrays)
+    got = _posterior_bundle(layout, frozen.settled(layout, live), live, arrays)
     want = dense_oracle.bundle(layout, frozen_f, frozen.v_side, frozen.v_front, folds[-1])
     assert_bundle_matches(got, want)
 
 
 def test_cutover_follows_the_array_sizes():
-    # 3**K terms of n ship-local arrays against one joint: two ships at
-    # default bins turn dense at K = 2, three at K = 4.
+    # (n + 1)**K terms of n ship-local arrays against one joint: two ships
+    # at default bins turn dense at K = 2, three at K = 4.
     for n_ships, first_dense in ((2, 2), (3, 4)):
         layout = _Layout(n_ships, IntentionPriors(), Discretization(), None)
         want = [True] * first_dense + [False]
