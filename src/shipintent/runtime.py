@@ -968,9 +968,10 @@ def _ship_sums(
     return sums
 
 
-def _shared_weight(product: _Product, per_cell: np.ndarray) -> float:
-    """``per_cell`` (switch cells x threshold cells) against the shared axes' weight."""
-    return float(product.switch @ per_cell @ product.cols)
+def _shared_weight(product: _Product, per_cell: np.ndarray | float) -> float:
+    """``per_cell`` (switch x threshold cells, or one for all) against the shared weight."""
+    cells = np.broadcast_to(per_cell, (len(product.switch), len(product.cols)))
+    return float(product.switch @ cells @ product.cols)
 
 
 def _z(weight: Sequence[_Product], terms: Sequence[_Term]) -> float:
@@ -978,14 +979,14 @@ def _z(weight: Sequence[_Product], terms: Sequence[_Term]) -> float:
 
     Per shared cell, a term weighs the product of the ships' sums of their
     factors (variable elimination on the star of shared and per-ship axes,
-    Koller & Friedman 2009, ch. 9-10); the terms are summed per cell, then
-    contracted against the shared axes' weight.
+    Koller & Friedman 2009, ch. 9-10); each term is contracted against the
+    shared axes' weight and the weights are summed.
     """
     caches: list[dict] = [{} for _ in weight]
-    per_cell = sum(
-        _product(_ship_sums(p, o, c) for p, o, c in zip(weight, ops, caches)) for _, ops in terms
+    return sum(
+        _shared_weight(weight[0], _product(map(_ship_sums, weight, ops, caches)))
+        for _, ops in terms
     )
-    return _shared_weight(weight[0], per_cell)
 
 
 def _product(factors: Iterable) -> np.ndarray | float:
