@@ -71,6 +71,7 @@ from .runtime import (
     _evaluate,
     _factored_z_f,
     _fold,
+    _lumped,
     _slice_message,
     _virtual_root_dists,
     init_session,
@@ -391,9 +392,14 @@ def _check_factored_scoring() -> str | None:
             live = _dense(layout, _slice_message(layout, states, 0, 0)[0].caps)
             if not np.array_equal(live, f_side):
                 return f"{cand.label}, course held {held}: the live slice's pieces differ"
-            got, want = _factored_z_f(layout, weight, values), float((full * f_side).sum())
-            if abs(got - want) > 1e-12:
-                return f"{cand.label}, course held {held}: |delta z_f|={abs(got - want):.2e}"
+            want = float((full * f_side).sum())
+            for route, got in (
+                ("factored", _factored_z_f(layout, weight, values)),
+                ("lumped", _factored_z_f(layout, *_lumped(layout, dists, states, 0, 0))),
+            ):
+                if abs(got - want) > 1e-12:
+                    delta = abs(got - want)
+                    return f"{cand.label}, course held {held}: {route} |delta z_f|={delta:.2e}"
     return None
 
 
@@ -404,7 +410,7 @@ _CHECKS = (
     ("session matches single-network posterior", _check_dual_route),
     ("scoring leaves session state untouched", _check_retraction),
     ("indexed grounding matches the brute scan", _check_grounding_index),
-    ("live slice and factored scoring match the full-joint fold", _check_factored_scoring),
+    ("live slice, factored and lumped scoring match the full-joint fold", _check_factored_scoring),
 )
 
 

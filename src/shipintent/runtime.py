@@ -98,12 +98,18 @@ then holds about seven arrays of 135 MB.
 
 Scoring never builds an array over more than one ship's axes: a candidate
 is one slice, so its weight is the same contraction over its one or ``n +
-1`` terms (:func:`_factored_z_f`).  A candidate costs about ``n * 6e5`` cells
-instead of ``4e4 * 15**n``, one sum per ship and distinct factor.  Nothing
-of a candidate outlives its score, so its ship pieces go into buffers the
-layout keeps, as do every pass's blocks (:func:`_buffer`): a fan allocates
-no array over a ship's axes once the first candidate has run, so one
-session must not be scored from two threads at once.
+1`` terms (:func:`_factored_z_f`).  A candidate also observes every
+measurement, so a node reads a threshold only through ``meas_bin > thr``.
+The same context-specific independence, applied to values, lumps each
+root's values into the classes its readers' truth tables tell apart (at
+most ``n + 1`` per threshold), and the candidate folds one value per class,
+weighted by its members' summed weights (:meth:`_Layout.lumps`).  At
+default bins with two ships a threshold keeps 1-3 classes, so a ship's
+local axes hold hundreds of cells where they hold 6e5 in a step, and a fan
+peaks near 0.1 MB under ``tracemalloc``.  A candidate's arrays die with its
+score, and only the step's passes keep block buffers in the layout
+(:func:`_buffer`).  The step is not lumped: its frozen slices' pieces sit at
+full resolution.
 
 Grounding is measured for the live pose and for every candidate's lookahead
 pose, so a step on a large hazard map measures seven poses.  Each pose scans
@@ -300,7 +306,8 @@ class _Product:
     and every later axis whole.  So it lies within one switch cell, and the
     block of an array that broadcasts over some axes is a view of it, never
     a copy.  The block buffers come from ``buffers``, which the products of
-    one layout share, so a pass allocates none once the first has run.
+    one per-ship weight share, so a pass allocates none once the first has
+    run.
     """
 
     def __init__(
@@ -315,6 +322,7 @@ class _Product:
         self.axes = tuple(axes)
         self.shape = tuple(len(v) for v in self.vecs)
         self.split = split
+        self.n_switch = n_switch
         self.switch = _outer(self.vecs[:n_switch])
         self.inner = _outer(self.vecs[n_switch:split])
         self.rows = np.multiply.outer(self.switch, self.inner).ravel()
@@ -358,29 +366,38 @@ class _Product:
     def column_sums(self, operands: Sequence[np.ndarray]) -> np.ndarray:
         """Per switch cell, the column sums of the AND of ``operands``, row-weighted.
 
-        Operands are laid out on these axes.  The AND goes into one boolean
-        buffer over them (a lone operand that spans them all is read as it
-        is), then each switch cell's rows are converted to float64 and
+        Operands are laid out on these axes.  Several are ANDed into one
+        boolean buffer over them; a lone one is read as it is, on its own
+        axes.  Each switch cell's rows are converted to float64 and
         contracted against the other row axes' weights, a run of columns at
-        a time (:data:`_CHUNK_CELLS`).
+        a time (:data:`_CHUNK_CELLS`); the sums of a lone operand are then
+        broadcast over the switch and column axes it lacks.
         """
-        if len(operands) == 1 and operands[0].shape == self.shape:
+        if len(operands) == 1:
             anded = operands[0]
         else:
             anded = _buffer(self.buffers, "anded", self.shape, bool)
             np.logical_and(operands[0], operands[-1], out=anded)
             for op in operands[1:-1]:
                 np.logical_and(anded, op, out=anded)
-        cells = anded.reshape(len(self.switch), len(self.inner), len(self.cols))
+        shape, ns = anded.shape, self.n_switch
+        own = zip(self.vecs[ns : self.split], shape[ns : self.split])
+        inner = _outer([v if n > 1 else v.sum(keepdims=True) for v, n in own])
+        cells = anded.reshape(math.prod(shape[:ns]), len(inner), -1)
+        n_cols = cells.shape[2]
         step = max(1, _CHUNK_CELLS // len(self.inner))
         buf = _buffer(self.buffers, "rows", (len(self.inner), min(step, len(self.cols))), float)
-        out = np.empty((len(self.switch), len(self.cols)))
+        out = np.empty((len(cells), n_cols))
         for k, rows in enumerate(cells):
-            for c in range(0, len(self.cols), step):
-                block = buf[:, : len(self.cols) - c]
+            for c in range(0, n_cols, step):
+                block = buf[: len(inner), : n_cols - c]
                 np.copyto(block, rows[:, c : c + step])
-                np.matmul(self.inner, block, out=out[k, c : c + step])
-        return out
+                np.matmul(inner, block, out=out[k, c : c + step])
+        if shape == self.shape:
+            return out
+        out = out.reshape(shape[:ns] + shape[self.split :])
+        out = np.broadcast_to(out, self.shape[:ns] + self.shape[self.split :])
+        return out.reshape(len(self.switch), len(self.cols))
 
     def joint_sums(
         self,
@@ -517,8 +534,7 @@ class _Layout:
         self.cards = tuple(len(self.prior_vec[r]) for r in self.f_roots)
         rank = len(self.f_roots)
         self.axis_arrays = {
-            r: np.arange(card, dtype=np.uint8).reshape((1,) * j + (-1,) + (1,) * (rank - 1 - j))
-            for j, (r, card) in enumerate(zip(self.f_roots, self.cards))
+            r: self._axis(r, range(card)) for r, card in zip(self.f_roots, self.cards)
         }
 
         self.specs = nodes.model_node_specs(n_ships)
@@ -556,26 +572,80 @@ class _Layout:
         self.switch_axes = tuple(j for j in range(split) if j not in owned)
         self.threshold_axes = tuple(range(split, rank))
         vecs = [self.prior_vec[r] for r in self.f_roots]
-        # Block buffers, shared by every product of this layout (see _CHUNK_CELLS).
-        self.buffers: dict = {}
-        self.prior = _Product(vecs, range(rank), split, len(self.switch_axes), self.buffers)
         self.local = self.factor_weight(self.prior_vec)
+        # The step's products share their block buffers (see _CHUNK_CELLS).
+        self.prior = _Product(
+            vecs, range(rank), split, len(self.switch_axes), self.local[0].buffers
+        )
+        # The nodes that read each root directly, for lumping its values.
+        self.readers = {
+            r: tuple(spec for spec in self.specs if r in spec.parents) for r in self.f_roots
+        }
+
+    def _axis(self, root: str, values: Iterable[int]) -> np.ndarray:
+        """``values`` of ``root`` as an index array along its layout axis."""
+        j = self.f_roots.index(root)
+        shape = (1,) * j + (-1,) + (1,) * (len(self.f_roots) - 1 - j)
+        return np.asarray(list(values), dtype=np.uint8).reshape(shape)
 
     def factor_weight(self, dists: Mapping[str, np.ndarray]) -> tuple[_Product, ...]:
         """A product weight as one :class:`_Product` per ship, on its local axes.
 
         Ship i's local axes are the shared ones (compliance switches and
         thresholds) and its own two; with one ship they are the whole joint.
+        The ships' products share one set of block buffers, which lives as
+        long as they do.
         """
         n_switch = len(self.switch_axes)
+        buffers: dict = {}
         return tuple(
-            _Product(
-                [dists[self.f_roots[j]] for j in axes], axes, n_switch + 2, n_switch, self.buffers
-            )
+            _Product([dists[self.f_roots[j]] for j in axes], axes, n_switch + 2, n_switch, buffers)
             for axes in (
                 (*self.switch_axes, *own, *self.threshold_axes) for own in self.ship_axes
             )
         )
+
+    def lumps(
+        self, observed: Mapping[str, int]
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Each root's values lumped into the classes one slice cannot tell apart.
+
+        ``observed`` fixes the slice's measurement states and latch carries
+        (:func:`_observed`).  Two values of a root share a class when every
+        node that reads the root directly has the same truth-table slice at
+        both, every parent not observed left free.  Then, node by node in
+        registry order, every node takes the same value at both, so a fold
+        on one member per class loses nothing (context-specific
+        independence, Boutilier et al. UAI 1996).  A threshold is read only
+        through ``meas_bin > thr``, so it splits into at most ``n + 1``
+        classes.  Returns each class's first member as an axis array, as
+        :attr:`axis_arrays` lays out every value, and each value's class.
+        """
+        axes: dict[str, np.ndarray] = {}
+        labels: dict[str, np.ndarray] = {}
+        for root, card in zip(self.f_roots, self.cards):
+            # Per reader: its table, an index with the observed parents fixed
+            # and the others free, and the root's place in it.
+            readers = [
+                (
+                    self.tables[spec.node_id],
+                    [observed.get(p, slice(None)) for p in spec.parents],
+                    spec.parents.index(root),
+                )
+                for spec in self.readers[root]
+            ]
+            classes: dict[bytes, int] = {}
+            first: list[int] = []  # each class's first member
+            labels[root] = np.empty(card, dtype=np.intp)
+            for v in range(card):
+                for _, index, k in readers:
+                    index[k] = v
+                key = b"".join(table[tuple(index)].tobytes() for table, index, _ in readers)
+                labels[root][v] = classes.setdefault(key, len(classes))
+                if labels[root][v] == len(first):
+                    first.append(v)
+            axes[root] = self._axis(root, first)
+        return axes, labels
 
     def factored(self, k: int) -> bool:
         """Whether a constraint with ``k`` coupled slices is contracted ship by ship.
@@ -590,15 +660,12 @@ class _Layout:
         return (n + 1) ** k * n * math.prod(self.local[0].shape) <= math.prod(self.cards)
 
 
-def _lookup(
-    table: np.ndarray, args: Sequence, buffers: dict | None = None, key: object = None
-) -> np.ndarray | int:
+def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
     """``table[args]`` for parents that are scalars or broadcast index arrays.
 
     Scalar parents index the table first.  The array parents, smallest
     first, fold into one small-integer code, so the only operation at the
-    broadcast result's size is a single lookup in the flat table.  With
-    ``buffers``, the result goes into the buffer kept there for ``key``.
+    broadcast result's size is a single lookup in the flat table.
     """
     sub = table[tuple(slice(None) if np.ndim(a) else int(a) for a in args)]
     arrays = [a for a in args if np.ndim(a)]
@@ -611,18 +678,13 @@ def _lookup(
     for k, card in zip(order[1:], sub.shape[1:]):
         code = code * code_type(card) + arrays[k]
     flat = sub.ravel()
-    if buffers is None and flat.size > 64:
+    if flat.size > 64 or code.size <= _CHUNK_CELLS:
         return flat[code]
-    if buffers is None:
-        out = np.empty(code.shape, dtype=bool)
-    else:
-        out = _buffer(buffers, key, code.shape, bool)
-    if flat.size > 64:
-        # Every code is in range; "clip" spares the copy "raise" makes of out.
-        return np.take(flat, code, out=out, mode="clip")
-    # Up to 64 entries pack into one machine word: a shift and a mask look the
-    # codes up without numpy first widening them to intp indices.  The shift
-    # runs a chunk at a time, so its word-wide scratch stays small.
+    out = np.empty(code.shape, dtype=bool)
+    # Past a chunk of cells, a table of up to 64 entries packs into one
+    # machine word: a shift and a mask look the codes up without numpy first
+    # widening them to intp indices.  The shift runs a chunk at a time, so
+    # its word-wide scratch stays small.
     word_type = np.min_scalar_type((1 << flat.size) - 1).type
     word = word_type(sum(1 << int(k) for k in np.flatnonzero(flat)))
     codes, cells = code.reshape(-1), out.reshape(-1)
@@ -748,49 +810,70 @@ def _evaluate(
     layout: _Layout,
     specs: Sequence[nodes.ModelNodeSpec],
     values: MutableMapping[str, object],
-    buffers: dict | None = None,
-    slot: object = None,
 ) -> None:
-    """Look each spec up in its truth table on the parent values, in order.
-
-    With ``buffers``, each node's array goes into the buffer kept there for
-    the node and ``slot`` (see :func:`_buffer`).
-    """
+    """Look each spec up in its truth table on the parent values, in order."""
     for spec in specs:
-        args = [values[p] for p in spec.parents]
         values[spec.node_id] = _lookup(
-            layout.tables[spec.node_id], args, buffers, (spec.node_id, slot)
+            layout.tables[spec.node_id], [values[p] for p in spec.parents]
         )
 
 
+def _observed(meas_states: Mapping[str, int], sa_in: int, pa_in: int) -> dict[str, int]:
+    """A slice's observed parents: its measurement states and latch carries."""
+    return {**meas_states, "turned_starboard_prev": sa_in, "turned_port_prev": pa_in}
+
+
 def _fold(
-    layout: _Layout, meas_states: Mapping[str, int], sa_in: int, pa_in: int
+    layout: _Layout,
+    meas_states: Mapping[str, int],
+    sa_in: int,
+    pa_in: int,
+    axis_arrays: Mapping[str, np.ndarray] | None = None,
 ) -> dict[str, object]:
     """Fold one slice's observations through every node that does not couple ships.
 
     Walks the model registry in dependency order, looking each node up in
     its truth table: observed measurements and latch carries enter as
     integers, intention roots as axis arrays, and previously folded nodes as
-    boolean arrays that span only the axes they depend on.  The grounding
-    thresholds are not layout axes; they fold as vectors of their own.
-    Steps and candidate scoring both start from this fold.
+    boolean arrays that span only the axes they depend on.  The roots take
+    every value (``layout.axis_arrays``) unless ``axis_arrays`` gives one
+    per class (:meth:`_Layout.lumps`).  The grounding thresholds are not
+    layout axes; they fold as vectors of their own.  Steps and candidate
+    scoring both start from this fold.
     """
-    values: dict[str, object] = dict(meas_states)
-    values.update(layout.axis_arrays)
-    values["turned_starboard_prev"] = sa_in
-    values["turned_port_prev"] = pa_in
+    values: dict[str, object] = _observed(meas_states, sa_in, pa_in)
+    values.update(layout.axis_arrays if axis_arrays is None else axis_arrays)
     for root in ("safe_ground_side", "safe_ground_front"):
         values[root] = np.arange(len(layout.prior_vec[root]), dtype=np.uint8)
     _evaluate(layout, layout.shared_specs, values)
     return values
 
 
+def _lumped(
+    layout: _Layout,
+    dists: Mapping[str, np.ndarray],
+    meas_states: Mapping[str, int],
+    sa_in: int,
+    pa_in: int,
+) -> tuple[tuple[_Product, ...], dict[str, object]]:
+    """A candidate slice's per-ship weight and shared fold on its lumped roots.
+
+    Each root takes one value per class (:meth:`_Layout.lumps`), weighted by
+    the sum of its members' weights in ``dists``, so ``_factored_z_f`` on
+    the pair gives the slice's weight under ``dists``.
+    """
+    axes, labels = layout.lumps(_observed(meas_states, sa_in, pa_in))
+    values = _fold(layout, meas_states, sa_in, pa_in, axes)
+    lumped = {r: np.bincount(labels[r], weights=dists[r]) for r in layout.f_roots}
+    return layout.factor_weight(lumped), values
+
+
 _CAP_BASES = ("colav_ok", "nav_maneuver_ok")
 
 
-def _cap(values: Mapping[str, object], i: int, out: np.ndarray | None = None) -> np.ndarray:
+def _cap(values: Mapping[str, object], i: int) -> np.ndarray:
     """Ship ``i``'s cap: its collision-avoidance rules or the planned route explain the slice."""
-    return np.logical_or(*(values[ship(b, i)] for b in _CAP_BASES), out=out)
+    return np.logical_or(*(values[ship(b, i)] for b in _CAP_BASES))
 
 
 def _ship_tail(
@@ -798,18 +881,15 @@ def _ship_tail(
     values: Mapping[str, object],
     i: int,
     s: int,
-    buffers: dict | None = None,
-    slot: object = None,
 ) -> Mapping[str, object]:
     """Ship ``i``'s tail nodes with ``stands_on_ok_i`` fixed to ``s``, over ``values``.
 
     The tail (``layout.tails[i - 1]``: ``gives_way_ok_i``, ``colav_ok_i``)
     then spans the shared axes and ship ``i``'s own only.  Its values go
-    into a scope of their own, so ``values`` is left as it was; with
-    ``buffers``, into the buffers kept there for ``slot``.
+    into a scope of their own, so ``values`` is left as it was.
     """
     scope = ChainMap({layout.stands_on[i - 1]: s}, values)
-    _evaluate(layout, layout.tails[i - 1], scope, buffers, slot)
+    _evaluate(layout, layout.tails[i - 1], scope)
     return scope
 
 
@@ -834,29 +914,23 @@ def _ship_pieces(
     values: Mapping[str, object],
     i: int,
     standing: bool | None,
-    buffers: dict | None = None,
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray | tuple[np.ndarray, np.ndarray]]:
     """Ship ``i``'s piece of a slice's constraint and its ``colav_ok_i``.
 
     The piece is as :class:`_SliceMessage` keeps it.  With
     ``stands_on_ok_i`` observed (``standing``), ``colav_ok_i`` is one array;
-    otherwise it is the pair at ``stands_on_ok_i`` = 0 and 1.  With
-    ``buffers``, the arrays are written into buffers kept there, valid until
-    the next call for the same ship.
+    otherwise it is the pair at ``stands_on_ok_i`` = 0 and 1.
     """
     colav = ship("colav_ok", i)
 
-    def cap(s: int, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        tail = _ship_tail(layout, values, i, s, buffers, slot)
-        if buffers is None:
-            return _cap(tail, i), tail[colav]
-        shape = np.broadcast_shapes(*(np.shape(tail[ship(b, i)]) for b in _CAP_BASES))
-        return _cap(tail, i, _buffer(buffers, ("cap", i, slot), shape, bool)), tail[colav]
+    def cap(s: int) -> tuple[np.ndarray, np.ndarray]:
+        tail = _ship_tail(layout, values, i, s)
+        return _cap(tail, i), tail[colav]
 
-    if standing is not None:  # one tail, in the buffers of either slot
-        piece, colav_s = cap(standing, 0)
+    if standing is not None:
+        piece, colav_s = cap(standing)
         return (piece,), colav_s
-    (c0, colav0), (c1, colav1) = cap(0, 0), cap(1, 1)
+    (c0, colav0), (c1, colav1) = cap(0), cap(1)
     return (c1, c0, _gives_way(layout, values, i)), (colav0, colav1)
 
 
@@ -1002,15 +1076,9 @@ def _factored_z_f(
 
     ``values`` is the slice's shared fold.  The one-slice case of the step's
     contraction: the slice's terms (:func:`_options`) through :func:`_z`.
-    Nothing outlives the call, so the ship pieces go into the layout's
-    buffers: scoring a fan allocates no array over a ship's axes after its
-    first candidate.
     """
     standing = _standing(layout, values)
-    caps = [
-        _ship_pieces(layout, values, i, standing, layout.buffers)[0]
-        for i in range(1, layout.n_ships + 1)
-    ]
+    caps = [_ship_pieces(layout, values, i, standing)[0] for i in range(1, layout.n_ships + 1)]
     return _z(weight, _options(caps))
 
 
@@ -1679,7 +1747,10 @@ def score_candidates(
     time slice observing the candidate's lookahead measurements (with the
     current turn latches carried in and the step posteriors applied as
     virtual evidence on the intention roots) finds the maneuver compatible.
-    Raw scores below :data:`SCORE_FLOOR` clamp to zero; if every candidate
+    It is contracted ship by ship on the candidate's lumped roots: one value
+    per class of values its truth tables cannot tell apart, weighted by the
+    class's summed virtual evidence (:meth:`_Layout.lumps`), which regroups
+    the same non-negative sums.  Raw scores below :data:`SCORE_FLOOR` clamp to zero; if every candidate
     clamps, the normalized scores fall back to uniform and the result is
     flagged ``all_incompatible``.
     """
@@ -1688,7 +1759,6 @@ def score_candidates(
         raise ValueError("need at least one candidate to score")
     layout = session.layout
     dists = _virtual_root_dists(layout, session.last_record.posterior)
-    weight = layout.factor_weight(dists)
     rho_u = float(dists["unmodeled"][1])
     rho_g = float(dists["ground_intent"][1])
     carry = session._live().message
@@ -1702,7 +1772,7 @@ def score_candidates(
         states = meas.as_states()
         key = tuple(states.values())
         if key not in raw_by_states:
-            values = _fold(layout, states, *latches)
+            weight, values = _lumped(layout, dists, states, *latches)
             z_f = _factored_z_f(layout, weight, values)
             z_s = float((dists["safe_ground_side"] * values["ground_safe_side"]).sum())
             z_fr = float((dists["safe_ground_front"] * values["ground_safe_front"]).sum())

@@ -117,35 +117,41 @@ def _steer_toward(course: float, desired: float, max_step: float) -> float:
 
 
 def _integrate(start: ShipState, offset: float, p: LosParams) -> tuple[ShipState, ...]:
+    """The sampled path, in plain floats.
+
+    Every coordinate operation is the one a 2-vector form would do, in the
+    same order, so the states are the same bit for bit.  The along-track
+    distance stays a NumPy dot, whose summation the floats would not repeat.
+    """
     base = start.cog
     target = base if offset == 0.0 else wrap_angle(base + offset)
-    base_dir = np.array((math.cos(base), math.sin(base)))
+    bx, by = math.cos(base), math.sin(base)
+    base_dir = np.array((bx, by))
     max_step = p.turn_rate * p.dt
     n_steps = int(round(p.horizon / p.dt))
+    stride = start.sog * p.dt
     states = [start]
     course = start.cog
-    pos = start.position.astype(float)
-    anchor: np.ndarray | None = None
+    x, y = float(start.x), float(start.y)
+    anchor: tuple[float, float] | None = None
     turning = course != target
     for k in range(1, n_steps + 1):
         if turning:
             course = _steer_toward(course, target, max_step)
             if course == target:
                 turning = False
-                anchor = pos.copy()  # the turn completed here; track this line
+                anchor = x, y  # the turn completed here; track this line
         elif offset != 0.0:
             # A zero offset is already on the planned track: hold course
             # rather than let pursuit chase sub-ulp cross-track residue.
             if anchor is None:
-                anchor = pos.copy()
-            along = float((pos - anchor) @ base_dir)
-            carrot = anchor + (along + p.pursuit_lookahead) * base_dir
-            desired = math.atan2(carrot[1] - pos[1], carrot[0] - pos[0])
+                anchor = x, y
+            ax, ay = anchor
+            reach = float(np.array((x - ax, y - ay)) @ base_dir) + p.pursuit_lookahead
+            desired = math.atan2(ay + reach * by - y, ax + reach * bx - x)
             course = _steer_toward(course, desired, max_step)
-        pos = pos + start.sog * p.dt * np.array((math.cos(course), math.sin(course)))
-        states.append(
-            ShipState(start.t + k * p.dt, float(pos[0]), float(pos[1]), start.sog, course)
-        )
+        x, y = x + stride * math.cos(course), y + stride * math.sin(course)
+        states.append(ShipState(start.t + k * p.dt, x, y, start.sog, course))
     return tuple(states)
 
 

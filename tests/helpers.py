@@ -36,9 +36,9 @@ def layout3(n_ships: int) -> _Layout:
 
 
 def draw_slice(
-    data, n_ships: int, held: bool | None = None
+    data, n_ships: int, held: bool | None = None, disc: Discretization = DISC3
 ) -> tuple[dict[str, int], int, int]:
-    """A hypothesis-drawn ``DISC3`` measurement vector and latch carries.
+    """A hypothesis-drawn measurement vector and latch carries, ``DISC3`` by default.
 
     Unless ``held`` fixes it, course held (straight, speed unchanged) is
     drawn half the time, so both branches of ``stands_on_ok_i = C or
@@ -46,7 +46,7 @@ def draw_slice(
     """
     states = {
         v.id: data.draw(st.integers(0, v.cardinality - 1), label=v.id)
-        for v in measurement_variables(n_ships, DISC3)
+        for v in measurement_variables(n_ships, disc)
     }
     if held is None:
         held = data.draw(st.booleans(), label="course_held")

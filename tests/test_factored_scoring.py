@@ -4,11 +4,15 @@
 obstacle ships (``C``: course straight and speed unchanged; ``g_j``: giving
 way to ship j).  ``g_i`` makes ship i's tail ignore ``stands_on_ok_i``, so
 every ship may read one shared switch ``C or OR_j g_j``, and scoring sums
-per-ship products in closed form instead of folding the whole joint.  These
-tests pin both assumptions in the compiled tables, the factored weight
-against the full-joint contraction, and the memory that the factoring saves.
+per-ship products in closed form instead of folding the whole joint.  A
+candidate also lumps each root's values into the classes its truth tables
+can tell apart, and folds one value per class.  These tests pin both
+assumptions in the compiled tables, the lumped fold against the full one,
+the factored weight against the full-joint contraction, and the memory that
+the factoring and the lumping save.
 """
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -31,6 +35,8 @@ from shipintent.runtime import (
     _fold,
     _gives_way,
     _Layout,
+    _lumped,
+    _observed,
     _ship_tail,
     init_session,
     score_candidates,
@@ -138,25 +144,91 @@ def test_factored_z_f_matches_the_full_joint_contraction(n_ships, data):
     want = full_joint_z_f(layout, dists, states, sa, pa)
     got = _factored_z_f(layout, layout.factor_weight(dists), _fold(layout, states, sa, pa))
     assert abs(got - want) <= 1e-12
+    lumped = _factored_z_f(layout, *_lumped(layout, dists, states, sa, pa))
+    assert abs(lumped - want) <= 1e-12
 
 
-def test_scoring_builds_no_full_joint_array():
-    # Default bins, two ships: the joint has 9e6 cells, so one boolean array
-    # over it alone would take 9e6 bytes.
+@functools.lru_cache(maxsize=None)
+def default_layout(n_ships):
+    return _Layout(n_ships, IntentionPriors(), Discretization(), None)
+
+
+def folded_nodes(layout, values):
+    """Every node a candidate reads, by name: the shared fold, each ship's
+    tail at both values of its stands_on_ok, its g_i and its cap."""
+    out = dict(values)
+    for i in range(1, layout.n_ships + 1):
+        out[ship("gives_way", i)] = _gives_way(layout, values, i)
+        for s in (0, 1):
+            tail = _ship_tail(layout, values, i, s)
+            out.update((f"{node}@{s}", tail[node]) for node in tail.maps[0])
+            out[f"{ship('cap', i)}@{s}"] = _cap(tail, i)
+    return out
+
+
+@pytest.mark.parametrize(
+    "n_ships, default_bins",
+    [(1, False), (2, False), (3, False), (2, True)],
+    ids=["1", "2", "3", "2-default-bins"],
+)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_lumped_fold_equals_the_full_fold_at_every_class_member(n_ships, default_bins, data):
+    layout = default_layout(n_ships) if default_bins else layout3(n_ships)
+    disc = Discretization() if default_bins else DISC3
+    states, sa, pa = draw_slice(data, n_ships, disc=disc)
+    axes, labels = layout.lumps(_observed(states, sa, pa))
+    full = folded_nodes(layout, _fold(layout, states, sa, pa))
+    lumped = folded_nodes(layout, _fold(layout, states, sa, pa, axes))
+    assert full.keys() == lumped.keys()
+    for root, card in zip(layout.f_roots, layout.cards):
+        # Each class's representative is its first member.
+        first = np.unique(labels[root], return_index=True)[1]
+        assert np.array_equal(axes[root].ravel(), first), root
+        assert labels[root].shape == (card,)
+    for name, want in full.items():
+        got = lumped[name]
+        if name in layout.f_roots:
+            continue  # the axis arrays themselves
+        if np.ndim(want) < len(layout.f_roots):  # a scalar, or a grounding vector
+            assert np.array_equal(got, want), name
+            continue
+        # The lumped array at each value's class, on every axis the full one spans.
+        index = [labels[r] if n > 1 else [0] for r, n in zip(layout.f_roots, want.shape)]
+        assert np.array_equal(got[np.ix_(*index)], want), name
+
+
+def two_ship_fan_peaks():
+    """Traced peak bytes of a default-bins, two-ship fan at three lookaheads."""
     own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     obstacles = OBSTACLES[:2]
     session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
     for t in (10.0, 20.0):
         own = ShipState(t, 5.0 * t, 0.0, 5.0, EAST + math.radians(0.4 * t))
         step_update(session, own, [o.advanced(t) for o in obstacles])
-    cells = math.prod(session.layout.cards)
-    assert cells == 9_000_000
+    assert math.prod(session.layout.cards) == 9_000_000
     fan = los_candidates(session.own_state)
+    peaks = {}
     for lookahead in (30.0, 60.0, 120.0):
         tracemalloc.start()
         try:
             score_candidates(session, fan, lookahead=lookahead)
-            peak = tracemalloc.get_traced_memory()[1]
+            peaks[lookahead] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cells, (lookahead, peak)
+    return peaks
+
+
+def test_scoring_builds_no_full_joint_array():
+    # Default bins, two ships: the joint has 9e6 cells, so one boolean array
+    # over it alone would take 9e6 bytes.
+    for lookahead, peak in two_ship_fan_peaks().items():
+        assert peak < 9_000_000, (lookahead, peak)
+
+
+def test_lumped_scoring_builds_no_ship_local_array():
+    # One ship's local axes hold 6e5 cells at default bins (4 switch cells,
+    # 15 views, 1e4 threshold cells), so one boolean array over them would
+    # take 6e5 bytes; a lumped fan stays under it.
+    for lookahead, peak in two_ship_fan_peaks().items():
+        assert peak < 600_000, (lookahead, peak)

@@ -1,15 +1,17 @@
 """Candidate-fan generation: guidance geometry, symmetry, sampling."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from shipintent.geometry import ShipState, angle_diff
+from shipintent.geometry import ShipState, angle_diff, wrap_angle
 from shipintent.trajgen import (
     DEFAULT_OFFSETS,
     CandidateTrajectory,
     LosParams,
+    _steer_toward,
     candidate_label,
     los_candidates,
 )
@@ -194,3 +196,68 @@ def test_default_offsets_are_the_documented_fan():
     assert DEFAULT_OFFSETS == tuple(
         math.radians(d) for d in (-90.0, -45.0, -20.0, 0.0, 20.0, 45.0)
     )
+
+
+# -- bit-equality with the 2-vector integrator ---------------------------------
+
+
+def vector_integrate(start, offset, p):
+    """The integrator as it was written on NumPy 2-vectors, kept as the reference."""
+    base = start.cog
+    target = base if offset == 0.0 else wrap_angle(base + offset)
+    base_dir = np.array((math.cos(base), math.sin(base)))
+    max_step = p.turn_rate * p.dt
+    n_steps = int(round(p.horizon / p.dt))
+    states = [start]
+    course = start.cog
+    pos = start.position.astype(float)
+    anchor = None
+    turning = course != target
+    for k in range(1, n_steps + 1):
+        if turning:
+            course = _steer_toward(course, target, max_step)
+            if course == target:
+                turning = False
+                anchor = pos.copy()
+        elif offset != 0.0:
+            if anchor is None:
+                anchor = pos.copy()
+            along = float((pos - anchor) @ base_dir)
+            carrot = anchor + (along + p.pursuit_lookahead) * base_dir
+            desired = math.atan2(carrot[1] - pos[1], carrot[0] - pos[0])
+            course = _steer_toward(course, desired, max_step)
+        pos = pos + start.sog * p.dt * np.array((math.cos(course), math.sin(course)))
+        states.append(
+            ShipState(start.t + k * p.dt, float(pos[0]), float(pos[1]), start.sog, course)
+        )
+    return tuple(states)
+
+
+def digest(paths):
+    h = hashlib.sha256()
+    for states in paths:
+        h.update(np.array([(s.t, s.x, s.y, s.sog, s.cog) for s in states]).tobytes())
+    return h.hexdigest()
+
+
+def test_float_integrator_matches_the_vector_one_bit_for_bit():
+    rng = np.random.default_rng(0)
+    got, want = [], []
+    for _ in range(300):
+        start = ShipState(
+            float(rng.uniform(0.0, 1e3)),
+            float(rng.uniform(-5e4, 5e4)),
+            float(rng.uniform(-5e4, 5e4)),
+            float(rng.uniform(0.0, 15.0)),
+            float(rng.uniform(-math.pi, math.pi)),
+        )
+        params = LosParams(
+            offsets=(*DEFAULT_OFFSETS, float(rng.uniform(-math.pi, math.pi))),
+            turn_rate=math.radians(float(rng.uniform(0.5, 5.0))),
+            dt=float(rng.choice([1.0, 2.5, 5.0])),
+            horizon=300.0,
+            pursuit_lookahead=float(rng.uniform(50.0, 500.0)),
+        )
+        got += [c.states for c in los_candidates(start, params)]
+        want += [vector_integrate(start, o, params) for o in params.offsets]
+    assert digest(got) == digest(want)
