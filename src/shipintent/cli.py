@@ -47,7 +47,6 @@ from .discretize import (
 from .extract import (
     Encounter,
     collect_samples,
-    merge_samples,
     priors_from_result,
     result_from_samples,
 )
@@ -168,18 +167,14 @@ def _cmd_extract_priors(args: argparse.Namespace) -> int:
     encounters = load_ais_csv(args.corpus, labels_path=args.labels)
     if not encounters:
         raise DataError(f"{args.corpus}: no usable encounters")
-    base_map = load_map_geojson(args.map)
-
-    parts = [
-        collect_samples(
-            [enc],
-            base_map.framed(enc.origin, cfg.map_densify_spacing),
-            dist_thresh=cfg.ground_threshold,
-            params=cfg.geometry,
-        )
-        for enc in encounters
-    ]
-    result = result_from_samples(merge_samples(parts), cfg.discretization)
+    samples = collect_samples(
+        encounters,
+        load_map_geojson(args.map),
+        dist_thresh=cfg.ground_threshold,
+        params=cfg.geometry,
+        spacing=cfg.map_densify_spacing,
+    )
+    result = result_from_samples(samples, cfg.discretization)
     priors = priors_from_result(result, cfg.discretization, base=cfg.priors)
 
     out = _resolve_out(args.out)

@@ -34,7 +34,6 @@ __all__ = [
     "ExtractionError",
     "ExtractionResult",
     "ExtractionWarning",
-    "ROI_HALF_WIDTH",
     "build_prior_config",
     "collect_samples",
     "extract_corpus",
@@ -42,16 +41,11 @@ __all__ = [
     "find_dist2grd_cpa",
     "find_isdf_vals",
     "fit_truncnorm",
-    "merge_samples",
     "priors_from_result",
     "result_from_samples",
 ]
 
 COLREGS_LABELS = ("head-on", "overtaking", "crossing")
-
-#: Half-width of the square region of interest clipped around the
-#: closest-approach position before scanning hazard vertices.
-ROI_HALF_WIDTH = 10_000.0
 
 #: Hazard clearances beyond this many meters are treated as "land did not
 #: constrain the encounter" and contribute no sample.
@@ -153,55 +147,36 @@ def find_isdf_vals(encounters: Iterable[Encounter]) -> list[float]:
     return vals
 
 
-def find_cpa(encounters: Iterable[Encounter]) -> tuple[list[float], list[float]]:
-    """Refined distance and time of closest approach per encounter.
+def _closest_fix(enc: Encounter) -> tuple[int, float]:
+    """Index and distance of the encounter's first closest sampled fix."""
+    rel = np.array([(obs.x - ref.x, obs.y - ref.y) for ref, obs in enc.pairs])
+    dist = np.hypot(rel[:, 0], rel[:, 1])
+    i = int(np.argmin(dist))
+    return i, float(dist[i])
 
-    Tracks the running minimum of the sampled inter-vessel distance; every new
-    minimum is refined with :func:`segment_cpa` over the bracketing samples so
-    a crossing that happens between two fixes is not missed.  Times count from
-    the first fix the two vessels share, where the encounter begins.
+
+def find_cpa(encounters: Iterable[Encounter]) -> tuple[list[float], list[float]]:
+    """Refined distance and time of closest approach, one value per encounter.
+
+    The first closest sampled fix is refined with :func:`segment_cpa` over it
+    and the next fix, so a closest approach that happens between two fixes is
+    not missed.  Times count from the first fix the two vessels share, where
+    the encounter begins.
     """
     dcpa_vals: list[float] = []
     tcpa_vals: list[float] = []
     for enc in encounters:
         pairs = enc.pairs
-        t0 = pairs[0][0].t
-        min_dist = math.inf
-        dcpa = math.inf
-        tcpa = math.inf
-        for i, (ref, obs) in enumerate(pairs):
-            dist = float(np.hypot(*(obs.position - ref.position)))
-            if dist >= min_dist:
-                continue
-            min_dist = dist
-            if i + 1 < len(pairs):
-                ref_next, obs_next = pairs[i + 1]
-                t_opt, d_opt = segment_cpa(ref, ref_next, obs, obs_next)
-            else:
-                t_opt, d_opt = 0.0, dist
-            if d_opt < dist:
-                dcpa = d_opt
-                tcpa = ref.t - t0 + t_opt
-            else:
-                dcpa = min_dist
-                tcpa = ref.t - t0
-        if math.isfinite(dcpa):
-            dcpa_vals.append(dcpa)
-            tcpa_vals.append(tcpa)
+        i, dcpa = _closest_fix(enc)
+        ref, obs = pairs[i]
+        tcpa = ref.t - pairs[0][0].t
+        if i + 1 < len(pairs):
+            t_opt, d_opt = segment_cpa(ref, pairs[i + 1][0], obs, pairs[i + 1][1])
+            if d_opt < dcpa:
+                dcpa, tcpa = d_opt, tcpa + t_opt
+        dcpa_vals.append(dcpa)
+        tcpa_vals.append(tcpa)
     return dcpa_vals, tcpa_vals
-
-
-def _cpa_reference_state(enc: Encounter) -> ShipState:
-    """Reference-ship state at the sampled minimum-distance timestep."""
-    best = None
-    best_dist = math.inf
-    for ref, obs in enc.pairs:
-        dist = float(np.hypot(*(obs.position - ref.position)))
-        if dist < best_dist:
-            best_dist = dist
-            best = ref
-    assert best is not None  # encounters hold >= 2 pairs by construction
-    return best
 
 
 def _clip_roi(pmap: PolygonMap, x: float, y: float, half: float) -> PolygonMap:
@@ -225,22 +200,24 @@ def find_dist2grd_cpa(
     pmap: PolygonMap,
     dist_thresh: float = DEFAULT_GROUND_THRESHOLD,
     params: GeometryParams = GeometryParams(),
+    spacing: float | None = None,
 ) -> tuple[list[float], list[float]]:
     """Hazard clearances at each encounter's closest-approach state.
 
-    The map is measured in each encounter's own frame (see
-    :meth:`PolygonMap.framed`) and clipped to a 10 km square region of interest
-    around the reference ship's closest-approach position, then the nearest
-    hazard vertex is found in the starboard, port, and front sectors
-    of the ship domain.  min(starboard, port) feeds the side list, front feeds
-    the front list, and either only counts when at or below ``dist_thresh`` so
-    open-water encounters don't masquerade as tight clearances.
+    The map is measured in each encounter's own frame and densified to
+    ``spacing`` (see :meth:`PolygonMap.framed`), then clipped to the
+    +-``dist_thresh`` square around the reference ship's first closest
+    sampled fix, and the nearest hazard vertex is found in the starboard,
+    port, and front sectors of the ship domain.  min(starboard, port) feeds
+    the side list, front feeds the front list, and either only counts when
+    at or below ``dist_thresh`` so open-water encounters don't masquerade as
+    tight clearances; a vertex that close always lies inside the square.
     """
     sdgs_vals: list[float] = []
     sdgf_vals: list[float] = []
     for enc in encounters:
-        state = _cpa_reference_state(enc)
-        roi = _clip_roi(pmap.framed(enc.origin), state.x, state.y, ROI_HALF_WIDTH)
+        state = enc.pairs[_closest_fix(enc)[0]][0]
+        roi = _clip_roi(pmap.framed(enc.origin, spacing), state.x, state.y, dist_thresh)
         if roi.is_empty:
             continue
         sb, ps, fr = grounding_measurements(state, roi, params)
@@ -337,15 +314,18 @@ def collect_samples(
     *,
     dist_thresh: float = DEFAULT_GROUND_THRESHOLD,
     params: GeometryParams = GeometryParams(),
+    spacing: float | None = None,
 ) -> dict[str, list[float]]:
-    """Per-threshold sample lists from one corpus chunk.
+    """Per-threshold sample lists from a corpus, in corpus order.
 
     Keys are the six threshold names plus ``dcpa`` (closest approach for
-    every encounter, label aside).  Chunks processed independently merge by
-    key-wise concatenation — see :func:`merge_samples`.
+    every encounter, label aside).  :func:`find_cpa` runs once over the
+    corpus; the overtaking and head-on thresholds take their encounters'
+    values from it.  ``spacing`` densifies the map in each encounter's frame
+    (see :func:`find_dist2grd_cpa`), as ``extract-priors`` does with the
+    configured ``map_densify_spacing``.
     """
     encounters = list(encounters)
-    by_label: dict[str, list[Encounter]] = {label: [] for label in COLREGS_LABELS}
     for enc in encounters:
         if enc.label is None:
             warnings.warn(
@@ -354,30 +334,20 @@ def collect_samples(
                 ExtractionWarning,
                 stacklevel=2,
             )
-        else:
-            by_label[enc.label].append(enc)
-    dcpa_overtaking, _ = find_cpa(by_label["overtaking"])
-    dcpa_head_on, _ = find_cpa(by_label["head-on"])
+    labels = [enc.label for enc in encounters]
     dcpa_all, tcpa_all = find_cpa(encounters)
-    sdgs, sdgf = find_dist2grd_cpa(encounters, pmap, dist_thresh, params)
+    sdgs, sdgf = find_dist2grd_cpa(encounters, pmap, dist_thresh, params, spacing)
     return {
-        "safe_front_cross": find_isdf_vals(by_label["crossing"]),
-        "safe_cpa": dcpa_overtaking,
-        "safe_midpoint": [d / 2.0 for d in dcpa_head_on],
+        "safe_front_cross": find_isdf_vals(
+            [enc for enc in encounters if enc.label == "crossing"]
+        ),
+        "safe_cpa": [d for d, label in zip(dcpa_all, labels) if label == "overtaking"],
+        "safe_midpoint": [d / 2.0 for d, label in zip(dcpa_all, labels) if label == "head-on"],
         "ample_time": tcpa_all,
         "safe_ground_side": sdgs,
         "safe_ground_front": sdgf,
         "dcpa": dcpa_all,
     }
-
-
-def merge_samples(parts: Iterable[Mapping[str, list[float]]]) -> dict[str, list[float]]:
-    """Concatenate chunked :func:`collect_samples` outputs in chunk order."""
-    merged: dict[str, list[float]] = {name: [] for name in (*_DESCRIPTIONS, "dcpa")}
-    for part in parts:
-        for name, vals in part.items():
-            merged[name].extend(vals)
-    return merged
 
 
 def result_from_samples(

@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ import pytest
 from shipintent.cli import main
 from shipintent.config import default_config, load_config, save_config
 from shipintent.dataio import load_ais_csv, load_map_geojson, load_run
-from shipintent.extract import build_prior_config, extract_corpus
+from shipintent.extract import (
+    build_prior_config,
+    collect_samples,
+    extract_corpus,
+    priors_from_result,
+    result_from_samples,
+)
 from shipintent.geometry import ShipState, local_to_geo
 from helpers import corpus_rows, straight_track, write_corpus, write_labels
 
@@ -291,11 +298,14 @@ def test_library_and_cli_extraction_agree_on_a_geographic_map(tmp_path, capsys):
         return {"type": "Feature", "properties": {},
                 "geometry": {"type": "Polygon", "coordinates": [ring]}}
 
-    # an island to starboard and a rock dead ahead of every reference start
+    # an island to starboard and a rock dead ahead of every reference start,
+    # and a wide shoal to starboard whose nearest points lie mid-edge, so
+    # densifying the map moves the side clearances
     map_path = tmp_path / "map.json"
     map_path.write_text(json.dumps({
         "type": "FeatureCollection",
-        "features": [geo_polygon(600.0, -400.0, 100.0), geo_polygon(900.0, 0.0, 50.0)],
+        "features": [geo_polygon(600.0, -400.0, 100.0), geo_polygon(900.0, 0.0, 50.0),
+                     geo_polygon(0.0, -1500.0, 1000.0)],
     }))
 
     out = tmp_path / "fitted.json"
@@ -314,6 +324,25 @@ def test_library_and_cli_extraction_agree_on_a_geographic_map(tmp_path, capsys):
     fitted = load_config(out).priors
     assert fitted.safe_ground_side == priors.safe_ground_side
     assert fitted.safe_ground_front == priors.safe_ground_front
+
+    # a densified map: extract-priors passes the configured spacing through
+    dense_cfg = tmp_path / "dense.json"
+    save_config(replace(default_config(), map_densify_spacing=25.0), dense_cfg)
+    dense_out = tmp_path / "dense-fitted.json"
+    argv = ["extract-priors", str(corpus), str(map_path), "-o", str(dense_out),
+            "--config", str(dense_cfg)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        dense = result_from_samples(collect_samples(encounters, pmap, spacing=25.0))
+        dense_priors = priors_from_result(dense)
+
+    assert (tmp_path / "dense-fitted.json.report.txt").read_text() == dense.report() + "\n"
+    dense_fitted = load_config(dense_out).priors
+    assert dense_fitted.safe_ground_side == dense_priors.safe_ground_side
+    assert dense_fitted.safe_ground_front == dense_priors.safe_ground_front
+    assert dense.fitted["safe_ground_side"] != library.fitted["safe_ground_side"]
 
 
 def test_score_with_map_ranks_the_fan_like_replay(tmp_path, capsys):

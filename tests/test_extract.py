@@ -18,11 +18,10 @@ from shipintent.extract import (
     find_dist2grd_cpa,
     find_isdf_vals,
     fit_truncnorm,
-    merge_samples,
     priors_from_result,
     result_from_samples,
 )
-from shipintent.geometry import PolygonMap, ShipState
+from shipintent.geometry import PolygonMap, ShipState, segment_cpa
 from helpers import square_ring, straight_track
 
 EAST, NORTH, WEST, SOUTH = 0.0, math.pi / 2, math.pi, -math.pi / 2
@@ -168,6 +167,83 @@ def test_cpa_planted_meetings_across_geometries():
         assert abs(tcpa[0] - t_meet) <= dt + 1e-9
 
 
+def running_minimum_cpa(encounters):
+    """Reference scan: refine every new running minimum, keep the last."""
+    dcpa_vals, tcpa_vals = [], []
+    for enc in encounters:
+        pairs = enc.pairs
+        t0 = pairs[0][0].t
+        min_dist = math.inf
+        dcpa = math.inf
+        tcpa = math.inf
+        for i, (ref, obs) in enumerate(pairs):
+            dist = float(np.hypot(*(obs.position - ref.position)))
+            if dist >= min_dist:
+                continue
+            min_dist = dist
+            if i + 1 < len(pairs):
+                ref_next, obs_next = pairs[i + 1]
+                t_opt, d_opt = segment_cpa(ref, ref_next, obs, obs_next)
+            else:
+                t_opt, d_opt = 0.0, dist
+            if d_opt < dist:
+                dcpa = d_opt
+                tcpa = ref.t - t0 + t_opt
+            else:
+                dcpa = min_dist
+                tcpa = ref.t - t0
+        if math.isfinite(dcpa):
+            dcpa_vals.append(dcpa)
+            tcpa_vals.append(tcpa)
+    return dcpa_vals, tcpa_vals
+
+
+def test_cpa_is_bit_identical_to_the_running_minimum_scan():
+    rng = np.random.default_rng(71)
+
+    def jittered(ts):
+        start = rng.uniform(-3000.0, 3000.0, 2)
+        cog, sog = float(rng.uniform(0.0, 2 * math.pi)), float(rng.uniform(0.5, 9.0))
+        head = np.array((math.cos(cog), math.sin(cog)))
+        return [ShipState(float(t), *(start + head * sog * t + rng.normal(0.0, 30.0, 2)), sog, cog)
+                for t in ts]
+
+    def sampled_distances(enc):
+        return [math.hypot(o.x - r.x, o.y - r.y) for r, o in enc.pairs]
+
+    jitter = []
+    for k in range(40):
+        ts = np.cumsum(rng.uniform(1.0, 20.0, size=int(rng.integers(2, 30))))
+        jitter.append(encounter(jittered(ts), jittered(ts), name=f"jitter{k}"))
+    # integer offsets of length exactly 500 at two or more fixes tie the minimum
+    offsets = np.array([(300, 400), (-400, 300), (0, -500), (500, 0), (700, 240), (-1200, 500)])
+    ties = []
+    for k in range(20):
+        n = int(rng.integers(3, 15))
+        ref_xy = np.cumsum(rng.integers(-80, 80, size=(n, 2)), axis=0)
+        off = offsets[rng.integers(0, len(offsets), size=n)]
+        off[rng.choice(n, size=2, replace=False)] = offsets[k % 4]
+        ref = [ShipState(10.0 * i, float(x), float(y), 5.0, EAST) for i, (x, y) in enumerate(ref_xy)]
+        obs = [ShipState(10.0 * i, float(x), float(y), 4.0, NORTH)
+               for i, (x, y) in enumerate(ref_xy + off)]
+        ties.append(encounter(ref, obs, name=f"tie{k}"))
+    # converging tracks cut off before they meet: the last fix is the closest
+    last = []
+    for k in range(10):
+        n = int(rng.integers(2, 12))
+        ref = straight_track((0.0, 0.0), EAST, float(rng.uniform(1.0, 8.0)), n=n)
+        obs = straight_track((3000.0, float(rng.uniform(-500.0, 500.0))), WEST,
+                             float(rng.uniform(1.0, 8.0)), n=n)
+        last.append(encounter(ref, obs, name=f"last{k}"))
+    assert all(sampled_distances(enc).count(500.0) >= 2 for enc in ties)
+    assert all(np.argmin(sampled_distances(enc)) == len(enc.pairs) - 1 for enc in last)
+
+    corpus = jitter + ties + last
+    assert find_cpa(corpus) == running_minimum_cpa(corpus)
+    for enc in corpus:
+        assert find_cpa([enc]) == running_minimum_cpa([enc]), enc.name
+
+
 def test_cpa_refinement_never_exceeds_discrete_minimum():
     rng = np.random.default_rng(61)
     for _ in range(30):
@@ -210,11 +286,22 @@ def test_dist2grd_open_water_excluded():
     assert find_dist2grd_cpa([encounter(ref, obs)], EMPTY_MAP, 2000.0) == ([], [])
 
 
-def test_dist2grd_roi_excludes_distant_vertices():
+def test_dist2grd_box_follows_dist_thresh():
+    # Parallel tracks 600 m apart: the first fix is the closest, at (0, 0).
     ref = straight_track((0.0, 0.0), EAST, 5.0, n=10)
     obs = straight_track((0.0, 600.0), EAST, 5.0, n=10)
-    beyond_roi = PolygonMap(rings=(square_ring(30_000.0, 0.0, 100.0),))
-    assert find_dist2grd_cpa([encounter(ref, obs)], beyond_roi, math.inf) == ([], [])
+    enc = encounter(ref, obs)
+
+    def lone_vertex(x, y):
+        return PolygonMap(rings=(np.array([(x, y), (x, y)]),))
+
+    # 12 km to starboard: outside a 10 km box, inside a 15 km threshold
+    abeam = lone_vertex(0.0, -12_000.0)
+    assert find_dist2grd_cpa([enc], abeam, 15_000.0) == ([12_000.0], [])
+    assert find_dist2grd_cpa([enc], abeam, 2000.0) == ([], [])
+    beyond = lone_vertex(30_000.0, 0.0)
+    assert find_dist2grd_cpa([enc], beyond, 20_000.0) == ([], [])
+    assert find_dist2grd_cpa([enc], beyond, 40_000.0) == ([], [30_000.0])
 
 
 def test_dist2grd_front_sector_hazard():
@@ -314,20 +401,19 @@ def test_unlabeled_encounters_warn_but_feed_timing():
     assert samples["safe_cpa"] == []
 
 
-def test_chunked_extraction_merges_to_the_same_result():
-    corpus = small_corpus()
-    whole = collect_samples(corpus, EMPTY_MAP)
-    parts = [collect_samples(corpus[:2], EMPTY_MAP),
-             collect_samples(corpus[2:5], EMPTY_MAP),
-             collect_samples(corpus[5:], EMPTY_MAP)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ExtractionWarning)
-        merged = merge_samples(parts)
-        assert merged == whole
-        a = result_from_samples(whole)
-        b = result_from_samples(merged)
-    assert a.fitted == b.fitted
-    assert a.sample_counts == b.sample_counts
+def test_collect_samples_takes_labelled_values_from_one_cpa_pass():
+    unlabeled = encounter(straight_track((0.0, 0.0), EAST, 5.0, n=10),
+                          straight_track((0.0, 900.0), EAST, 5.0, n=10), name="u")
+    corpus = [overtaking_pair(380.0, "ot1"), head_on_pair(140.0, "ho1"),
+              crossing_ahead(closest=700.0), unlabeled, head_on_pair(60.0, "ho2"),
+              overtaking_pair(200.0, "ot2")]
+    with pytest.warns(ExtractionWarning, match="unlabeled"):
+        samples = collect_samples(corpus, EMPTY_MAP)
+    overtaking = [enc for enc in corpus if enc.label == "overtaking"]
+    head_on = [enc for enc in corpus if enc.label == "head-on"]
+    assert samples["safe_cpa"] == find_cpa(overtaking)[0]
+    assert samples["safe_midpoint"] == [d / 2.0 for d in find_cpa(head_on)[0]]
+    assert (samples["dcpa"], samples["ample_time"]) == find_cpa(corpus)
 
 
 def test_extraction_is_deterministic():

@@ -25,7 +25,7 @@ from shipintent.runtime import (
     step_update,
 )
 from shipintent.trajgen import LosParams, los_candidates
-from helpers import square_ring
+from helpers import OBSTACLES, square_ring
 
 EAST, NORTH, WEST = 0.0, math.pi / 2, math.pi
 DISC3 = Discretization().with_bins(3)
@@ -219,26 +219,72 @@ def test_two_ship_session_matches_network():
     want = intention_posterior_via_network(session)
     got = session.last_record.posterior.marginals
     for name, vec in want.items():
-        np.testing.assert_allclose(got[name], vec, atol=1e-9, err_msg=name)
+        np.testing.assert_allclose(got[name], vec, atol=1e-12, err_msg=name)
 
 
-def test_candidate_score_matches_network_virtual_evidence():
+def turning_two_ship_steps(turns, steps):
+    """A ``DISC3`` session with ``OBSTACLES[:2]``, yielded after each of
+    ``steps`` 15 s steps of an own ship eastbound at 5 m/s that turns
+    +0.5 rad (to port) at each step in ``turns``; each turn opens a slice."""
     own = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
-    obstacle = ShipState(0.0, 2500.0, 120.0, 4.0, WEST)
-    session = init_session(own, [obstacle], disc=DISC3)
+    obstacles = OBSTACLES[:2]
+    session = init_session(own, obstacles, disc=DISC3)
+    x, y, cog = 0.0, 0.0, EAST
+    for k in range(1, steps + 1):
+        if k in turns:
+            cog += 0.5
+        x, y = x + 75.0 * math.cos(cog), y + 75.0 * math.sin(cog)
+        step_update(session, ShipState(15.0 * k, x, y, 5.0, cog),
+                    [obs.advanced(15.0 * k) for obs in obstacles])
+        yield session
+
+
+@pytest.mark.parametrize("turns, steps, every_step", [
+    ((2, 4), 4, True),         # one coupling slice frozen: factored, then dense steps
+    ((2, 4, 6, 8), 8, False),  # three: well past the two-ship cutover
+], ids=["K1", "K3"])
+def test_turning_two_ship_session_matches_network(turns, steps, every_step):
+    for session in turning_two_ship_steps(turns, steps):
+        if not every_step and session.now < 15.0 * steps:
+            continue
+        want = intention_posterior_via_network(session)
+        got = session.last_record.posterior.marginals
+        for name, vec in want.items():
+            np.testing.assert_allclose(got[name], vec, atol=1e-12, err_msg=name)
+    assert session.slice_count == len(turns) + 1
+
+
+def assert_scores_match_network_virtual_evidence(session):
+    """Each candidate's raw score against the one-slice network with the step
+    posteriors as virtual evidence and the turn latches carried in."""
+    n = session.n_ships
     record = session.last_record
-    candidates = los_candidates(own)
+    candidates = los_candidates(session.own_state)
     result = score_candidates(session, candidates)
     for cand, scored in zip(candidates, result.scores):
-        net = build_intention_dbn(1, session.priors, session.disc, 1,
+        net = build_intention_dbn(n, session.priors, session.disc, 1,
                                   situations=session.anchors)
-        for name in intention_ids(1):
+        for name in intention_ids(n):
             set_virtual_evidence(net, name, record.posterior.marginals[name])
         set_evidence(net, "turned_starboard_carry", int(record.node_probs["turned_starboard"]))
         set_evidence(net, "turned_port_carry", int(record.node_probs["turned_port"]))
         apply_measurement_evidence(net, 0, measure_candidate(session, cand))
         want = posterior(net, at("compatible", 0)).p_true
-        assert scored.raw == pytest.approx(want, abs=1e-9), cand.label
+        assert scored.raw == pytest.approx(want, abs=1e-12), cand.label
+
+
+def test_candidate_score_matches_network_virtual_evidence():
+    own = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacle = ShipState(0.0, 2500.0, 120.0, 4.0, WEST)
+    assert_scores_match_network_virtual_evidence(init_session(own, [obstacle], disc=DISC3))
+
+
+def test_two_ship_candidate_score_matches_network_virtual_evidence():
+    # After the port turns, most of the fan's slices couple the two ships
+    # through stands_on_ok.
+    *_, session = turning_two_ship_steps((2, 4), 4)
+    assert session.last_record.node_probs["turned_port"] == 1.0
+    assert_scores_match_network_virtual_evidence(session)
 
 
 # -- candidate measurement ------------------------------------------------------------
