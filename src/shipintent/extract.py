@@ -210,8 +210,9 @@ def find_dist2grd_cpa(
     sampled fix, and the nearest hazard vertex is found in the starboard,
     port, and front sectors of the ship domain.  min(starboard, port) feeds
     the side list, front feeds the front list, and either only counts when
-    at or below ``dist_thresh`` so open-water encounters don't masquerade as
-    tight clearances; a vertex that close always lies inside the square.
+    finite and at or below ``dist_thresh`` so open-water encounters don't
+    masquerade as tight clearances, an infinite ``dist_thresh`` included; a
+    vertex that close always lies inside the square.
     """
     sdgs_vals: list[float] = []
     sdgf_vals: list[float] = []
@@ -222,9 +223,9 @@ def find_dist2grd_cpa(
             continue
         sb, ps, fr = grounding_measurements(state, roi, params)
         side = min(sb, ps)
-        if side <= dist_thresh:
+        if math.isfinite(side) and side <= dist_thresh:
             sdgs_vals.append(side)
-        if fr <= dist_thresh:
+        if math.isfinite(fr) and fr <= dist_thresh:
             sdgf_vals.append(fr)
     return sdgs_vals, sdgf_vals
 

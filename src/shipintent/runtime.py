@@ -21,9 +21,9 @@ the model instead:
   branch on ``unmodeled`` and ``ground_intent``, into (a) a constraint on the
   collision-avoidance side (the roots feeding ``colav_ok``/``nav_maneuver_ok``)
   and (b) two independent unary constraints on the grounding thresholds;
-* slices are conditionally independent given the roots, so each frozen
-  slice contributes one cached boolean message and the running products are
-  enough to answer every query.
+* slices are conditionally independent given the roots, so the AND of the
+  frozen slices' boolean constraints, kept between steps, is enough to
+  answer every query.
 
 Posterior masses combine the three branches (``unmodeled``; modelled with
 ground intent; modelled without) in closed form.  The per-node truth tables
@@ -38,78 +38,46 @@ lookahead along its trajectory) act as the slice observation, and the score
 is the probability that the slice's ``compatible`` node is true.  Scoring
 never mutates the session.
 
-Cost and memory
----------------
+Lumped roots
+------------
 Each obstacle ship adds a priority and a situation-view root, so the joint
 over the collision-avoidance roots grows by a factor of 15 per ship: 6e5
 cells at one obstacle, 9e6 at two and 1.35e8 at three with the default ten
-bins per threshold.  The prior stays one vector per root, and while few
-slices couple the ships no step builds an array over the joint.
+bins per threshold.  No step and no score builds an array over it.
 
-Nodes are looked up in their truth tables on the axes they actually depend
-on.  ``stands_on_ok_i = C or OR_{j!=i} g_j`` is the only node that reads
-another ship's nodes (``C``: course straight and speed unchanged, observed;
-``g_j``: giving way to ship j).  Fixed to 0 or 1, it leaves its readers,
-``gives_way_ok_i`` and ``colav_ok_i``, and so ship i's cap (``colav_ok_i or
-nav_maneuver_ok_i``) on the shared axes (compliance switches and
-thresholds, 4e4 cells) and ship i's own two, 6e5 cells: context-specific
-independence (Boutilier, Friedman, Goldszmidt & Koller, UAI 1996).  As
-``g_i`` makes ship i's tail ignore it, every ship reads one shared switch,
-``C or G`` with ``G = OR_j g_j``.
+A slice observes every measurement, so a node reads a threshold only
+through ``meas_bin > thr``, and most values of a root look alike to it.  Two
+values share a class when every node that reads the root directly has the
+same truth-table slice at both (:meth:`_Layout.lumps`); then, node by node,
+every node takes the same value at both (context-specific independence,
+Boutilier, Friedman, Goldszmidt & Koller, UAI 1996).  A threshold splits
+into at most ``n + 1`` classes per slice; in the encounters measured, the
+priority, situation-view and compliance roots never merged.
 
-So a slice is kept as per-ship pieces (:class:`_SliceMessage`).  When ``C``
-holds, or with one ship, its constraint is the product ``AND_i cap_i(C)``,
-and once frozen it is folded into ``F_i``, the AND of ship i's caps over
-such slices.  Otherwise it is ``AND_i cap_i(1)`` where ``G`` holds and
-``AND_i cap_i(0)`` where it fails, kept as ``cap_i(1)``, ``cap_i(0)`` and
-``g_i`` per ship.  Split by the first ship that gives way, ``[G] = sum_m g_m
-prod_{j<m} not g_j``, that is ``n + 1`` disjoint products (:func:`_options`).
-With K such slices among the frozen and live ones, a step's constraint
-multiplies out into ``(n + 1)**K`` disjoint terms, each a product over ships
-and none negative, so the evidence mass is exactly zero only where nothing
-explains the slices.  Each term is contracted ship by ship against the
-prior: variable elimination on the star-shaped factor graph of the shared
-and per-ship axes (Koller & Friedman 2009, ch. 9-10).  Per shared cell a
-term weighs the product of the ships' sums over their own axes.  Ship i's
-pass over one of its factors weighs it by the other ships' sums, added up
-over the terms that share it, which gives its root marginals and its
-exported nodes' weights (:func:`_factored_masses`).  A pass reads its
-operands a block of whole rows at a time and ANDs them per block
-(:meth:`_Product.joint_sums`); one that only sums a factor per shared cell
-ANDs it into one array over the ship's axes (:meth:`_Product.column_sums`).
-So no array larger than one ship's 6e5 cells is built: a two-ship step with
-K <= 1 peaks under one boolean joint's 9 MB under ``tracemalloc``.  With one
-ship the single term is the whole joint, and a step is one pass over it.
+A step's partition of each root is the common refinement of every slice's
+classes, frozen and live (:func:`_refine`).  The session keeps the frozen
+slices' evidence as one boolean array over their partition
+(:class:`_Frozen`).  When the live slice splits a class, the kept array is
+re-indexed along that axis with ``np.take``, which is exact because each
+new class lies inside one old class.  The live slice is folded through
+every node on one value per class, ``stands_on_ok_i = C or OR_{j!=i} g_j``
+(the one node that reads another ship's) included, and its constraint is
+ANDed in (:func:`_add_slice`).  The AND is contracted against each class's
+weight, the sum of its members' prior weights.  A class's posterior mass is
+spread back over its members in proportion to their prior weights, exact
+because the likelihood is constant on a class; a class that weighs nothing
+gets nothing.  The exported nodes are read on the same array.  The
+partition tends back to the full joint as slices pile up, but slowly: at
+default bins, a turning two-ship replay holds 4e4 cells at its first slice
+that couples the ships and 2e5 at its eighth, a three-ship one 2e6 and 8e6.
+The largest array a step builds is one float64 weight per cell of that
+joint, so a three-ship step at the eighth such slice peaks near 110 MB.
 
-The terms read ``(n + 1)**K * n`` ship-local arrays, which passes the cells
-of one joint at K = 2 with two ships and K = 4 with three
-(:meth:`_Layout.factored`).  Timed at default bins, that is where a pass
-over the joint turns faster: at two ships both take about 0.1 s at K = 2
-and the factored step 0.26-0.32 s at K = 3 against 0.09-0.13 s; at three
-ships the factored step takes 0.7 s at K = 3 and 2.5-2.9 s at K = 4 against
-1.5-1.8 s.  From there the session ANDs the frozen pieces into one boolean
-array over the joint (9 MB at two ships, 135 MB at three) and ANDs each
-later frozen slice into it.  A step builds the live slice's constraint, and
-a coupling slice's ``colav_ok_i`` switched on ``G``, over the joint and
-streams them through one pass (:func:`_dense_masses`); the message keeps
-its constraint, so freezing the slice is one AND into a new array and a
-rejected update leaves the kept one as it was.  At three ships a step
-then holds about seven arrays of 135 MB.
-
-Scoring never builds an array over more than one ship's axes: a candidate
-is one slice, so its weight is the same contraction over its one or ``n +
-1`` terms (:func:`_factored_z_f`).  A candidate also observes every
-measurement, so a node reads a threshold only through ``meas_bin > thr``.
-The same context-specific independence, applied to values, lumps each
-root's values into the classes its readers' truth tables tell apart (at
-most ``n + 1`` per threshold), and the candidate folds one value per class,
-weighted by its members' summed weights (:meth:`_Layout.lumps`).  At
-default bins with two ships a threshold keeps 1-3 classes, so a ship's
-local axes hold hundreds of cells where they hold 6e5 in a step, and a fan
-peaks near 0.1 MB under ``tracemalloc``.  A candidate's arrays die with its
-score, and only the step's passes keep block buffers in the layout
-(:func:`_buffer`).  The step is not lumped: its frozen slices' pieces sit at
-full resolution.
+A candidate is one slice: its constraint is folded on its own classes and
+contracted against its virtual evidence, lumped the same way
+(:func:`_lumped`).  A boolean AND is exact and every weight non-negative, so
+the evidence mass of a contradiction is exactly zero, and only then is the
+slice history refolded to name the ship (:func:`_blame`).
 
 Grounding is measured for the live pose and for every candidate's lookahead
 pose, so a step on a large hazard map measures seven poses.  Each pose scans
@@ -125,11 +93,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from collections import ChainMap
-from collections.abc import Collection, Iterable, Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Iterable, Mapping, MutableMapping, Sequence
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -259,248 +228,8 @@ class ScoreResult:
 
 
 # --------------------------------------------------------------------------
-# Root-axis layout and per-slice messages
+# Root-axis layout and lumped slices
 # --------------------------------------------------------------------------
-
-# Cells per block that a contraction converts to float64 (and per chunk that
-# a packed table lookup shifts).  A block holds whole rows of one switch
-# cell, at least one row: the bins**4 cells of the threshold block, so it has
-# at most max(_CHUNK_CELLS, bins**4) cells.  A pass holds three buffers of
-# that size, the boolean AND of its operands (one byte a cell), its float64
-# copy and one float64 buffer the arrays that span ample_time share, plus a
-# float64 block with ample_time summed out (a bins-th of the cells).  That is
-# about 1.2 MB whatever the ship count, up to 16 bins per threshold.  A pass
-# over one ship's axes reads 6e5 cells at default bins, a dozen blocks.  One
-# that keeps only the per-shared-cell sums (_Product.column_sums) ANDs its
-# operands into one boolean array over the ship's axes (6e5 cells at default
-# bins) and converts a run of at most _CHUNK_CELLS cells at a time.  The
-# layout keeps every such buffer for its next pass (_buffer): about 2.5 MB at
-# default bins.
-_CHUNK_CELLS = 1 << 16
-
-
-def _outer(vecs: Sequence[np.ndarray]) -> np.ndarray:
-    """The flat outer product of ``vecs`` (one cell, weight one, if there are none)."""
-    return functools.reduce(np.multiply.outer, vecs, np.ones(())).ravel()
-
-
-class _Sums(NamedTuple):
-    """What one :meth:`_Product.joint_sums` pass returns."""
-
-    right: np.ndarray  # per switch cell, column sums weighted by the other row axes
-    left: np.ndarray  # per row, its sum against the column weights
-    post: dict[str, float]  # per array, the weight of the AND with it
-    prior: dict[str, float]  # per array named in priors, its weight alone
-
-
-class _Product:
-    """A product-form weight over some of the layout axes, one vector per axis.
-
-    ``axes`` are layout axes: the compliance switches first, then the other
-    row axes (ship views), then from ``split`` on the columns (thresholds).
-    A dense boolean array over them is contracted against the weight as a
-    matrix of rows and columns.  The rows are cut into blocks of about
-    :data:`_CHUNK_CELLS` cells, each converted to float64 on its own, so no
-    dense float array over the axes is ever built.  A block fixes the leading
-    row axes, the switches among them, and takes a run of the ``cut`` axis
-    and every later axis whole.  So it lies within one switch cell, and the
-    block of an array that broadcasts over some axes is a view of it, never
-    a copy.  The block buffers come from ``buffers``, which the products of
-    one per-ship weight share, so a pass allocates none once the first has
-    run.
-    """
-
-    def __init__(
-        self,
-        vecs: Sequence[np.ndarray],
-        axes: Sequence[int],
-        split: int,
-        n_switch: int,
-        buffers: dict,
-    ) -> None:
-        self.vecs = tuple(np.asarray(v, dtype=float) for v in vecs)
-        self.axes = tuple(axes)
-        self.shape = tuple(len(v) for v in self.vecs)
-        self.split = split
-        self.n_switch = n_switch
-        self.switch = _outer(self.vecs[:n_switch])
-        self.inner = _outer(self.vecs[n_switch:split])
-        self.rows = np.multiply.outer(self.switch, self.inner).ravel()
-        self.cols = _outer(self.vecs[split:])
-        self.cut = next(
-            (j for j in range(n_switch, split) if math.prod(self.shape[j + 1 :]) <= _CHUNK_CELLS),
-            split - 1,
-        )
-        tail = self.shape[self.cut + 1 :]
-        step = min(self.shape[self.cut], max(1, _CHUNK_CELLS // math.prod(tail)))
-        self.block_shape = (step, *tail)
-        self.buffers = buffers
-
-    def view(self, arr: np.ndarray) -> np.ndarray:
-        """``arr``, laid out on the layout axes and constant off these, on these alone."""
-        return arr.reshape(tuple(arr.shape[j] for j in self.axes))
-
-    def blocks(self) -> Iterator[tuple[tuple, slice]]:
-        """Each block's index (see :func:`_block`) and its span of :attr:`rows`, in row order."""
-        step = self.block_shape[0]
-        per_run = math.prod(self.shape[self.cut + 1 : self.split])
-        r0 = 0
-        for lead in np.ndindex(self.shape[: self.cut]):
-            for s in range(0, self.shape[self.cut], step):
-                run = slice(s, min(s + step, self.shape[self.cut]))
-                r1 = r0 + (run.stop - s) * per_run
-                yield (*lead, run), slice(r0, r1)
-                r0 = r1
-
-    def expect(self, arr: np.ndarray) -> float:
-        """Weighted sum of a boolean array laid out on these axes.
-
-        Axes of length one are those the array does not touch; they are
-        summed out of the weight instead of being broadcast.
-        """
-        out = np.asarray(arr, dtype=np.float64)
-        for vec in reversed(self.vecs):
-            out = out @ vec if out.shape[-1] > 1 else out[..., 0] * vec.sum()
-        return float(out)
-
-    def column_sums(self, operands: Sequence[np.ndarray]) -> np.ndarray:
-        """Per switch cell, the column sums of the AND of ``operands``, row-weighted.
-
-        Operands are laid out on these axes.  Several are ANDed into one
-        boolean buffer over them; a lone one is read as it is, on its own
-        axes.  Each switch cell's rows are converted to float64 and
-        contracted against the other row axes' weights, a run of columns at
-        a time (:data:`_CHUNK_CELLS`); the sums of a lone operand are then
-        broadcast over the switch and column axes it lacks.
-        """
-        if len(operands) == 1:
-            anded = operands[0]
-        else:
-            anded = _buffer(self.buffers, "anded", self.shape, bool)
-            np.logical_and(operands[0], operands[-1], out=anded)
-            for op in operands[1:-1]:
-                np.logical_and(anded, op, out=anded)
-        shape, ns = anded.shape, self.n_switch
-        own = zip(self.vecs[ns : self.split], shape[ns : self.split])
-        inner = _outer([v if n > 1 else v.sum(keepdims=True) for v, n in own])
-        cells = anded.reshape(math.prod(shape[:ns]), len(inner), -1)
-        n_cols = cells.shape[2]
-        step = max(1, _CHUNK_CELLS // len(self.inner))
-        buf = _buffer(self.buffers, "rows", (len(self.inner), min(step, len(self.cols))), float)
-        out = np.empty((len(cells), n_cols))
-        for k, rows in enumerate(cells):
-            for c in range(0, n_cols, step):
-                block = buf[: len(inner), : n_cols - c]
-                np.copyto(block, rows[:, c : c + step])
-                np.matmul(inner, block, out=out[k, c : c + step])
-        if shape == self.shape:
-            return out
-        out = out.reshape(shape[:ns] + shape[self.split :])
-        out = np.broadcast_to(out, self.shape[:ns] + self.shape[self.split :])
-        return out.reshape(len(self.switch), len(self.cols))
-
-    def joint_sums(
-        self,
-        operands: Sequence[np.ndarray],
-        arrays: Mapping[str, np.ndarray],
-        cols: np.ndarray | None = None,
-        priors: Collection[str] = (),
-    ) -> _Sums:
-        """Weights of the AND of ``operands`` and of every array in it, in one pass.
-
-        Operands and arrays are laid out on these axes.  ``cols``, if given,
-        holds each switch cell's own column weights (switch cells x column
-        cells) in place of :attr:`cols`.  The pass returns, per switch cell,
-        the column sums of the AND weighted by the other row axes (as
-        :meth:`column_sums`), each row's sum against its column weights and,
-        per array, the weight of ``AND & arr`` (posterior) and, for those
-        named in ``priors``, the weight of ``arr`` alone under this product.
-        Each block of the AND is converted to float64 once.  An array that
-        spans the first column axis is converted a block at a time too and
-        multiplied with the float block.  One that does not meets the block
-        after that axis is summed out, a tenth of the cells at ten bins; its
-        prior weight is a small contraction of its own (:meth:`expect`).
-        """
-        n_cols, n_inner = len(self.cols), len(self.inner)
-        mask = _buffer(self.buffers, "and", self.block_shape, bool)
-        buf = _buffer(self.buffers, "block", self.block_shape, float)
-        right = np.zeros((len(self.switch), n_cols))
-        n_first = self.shape[self.split]
-        rest = _outer(self.vecs[self.split + 1 :])
-        if cols is not None:  # the column weights already hold these
-            rest = np.ones(len(rest))
-        wide = [name for name, arr in arrays.items() if arr.shape[self.split] > 1]
-        narrow = [name for name in arrays if name not in wide]
-        reduced_shape = list(self.block_shape)
-        reduced_shape[self.split - self.cut] = 1
-        scratch = _buffer(self.buffers, "node", self.block_shape, float)
-        reduced_scratch = _buffer(self.buffers, "reduced", reduced_shape, float)
-        # Unweighted sums per row, weighted by the rows after the pass.
-        left = np.empty(len(self.rows))
-        post = {name: np.empty(len(self.rows)) for name in arrays}
-        prior = {name: np.empty(len(self.rows)) for name in wide if name in priors}
-        for index, rows in self.blocks():
-            m = index[-1].stop - index[-1].start
-            switch, r0 = divmod(rows.start, n_inner)
-            views = [_block(op, index) for op in operands]
-            block = buf[:m]
-            if len(views) == 1:
-                np.copyto(block, views[0])
-            else:
-                anded = mask[:m]
-                np.logical_and(*views[:2], out=anded)
-                for view in views[2:]:
-                    np.logical_and(anded, view, out=anded)
-                np.copyto(block, anded)
-            mat = block.reshape(-1, n_cols)
-            right[switch] += self.inner[r0 : r0 + len(mat)] @ mat
-            col = self.cols if cols is None else cols[switch]
-            left[rows] = mat @ col
-            tmp = scratch[:m]
-            for name in wide:
-                np.copyto(tmp, _block(arrays[name], index))
-                if name in prior:
-                    prior[name][rows] = tmp.reshape(-1, n_cols) @ self.cols
-                np.multiply(tmp, block, out=tmp)
-                post[name][rows] = tmp.reshape(-1, n_cols) @ col
-            if narrow:
-                mat3 = mat.reshape(-1, n_first, len(rest))
-                if cols is None:
-                    summed = self.vecs[self.split] @ mat3
-                else:
-                    summed = np.einsum("ras,as->rs", mat3, col.reshape(n_first, -1))
-                summed = summed.reshape(m, *reduced_shape[1:])
-                tmp = reduced_scratch[:m]
-                for name in narrow:
-                    np.multiply(summed, _block(arrays[name], index), out=tmp)
-                    post[name][rows] = tmp.reshape(-1, len(rest)) @ rest
-        prior_sums = {name: float(self.rows @ per_row) for name, per_row in prior.items()}
-        prior_sums.update((name, self.expect(arrays[name])) for name in narrow if name in priors)
-        post_sums = {name: float(self.rows @ per_row) for name, per_row in post.items()}
-        return _Sums(right, left, post_sums, prior_sums)
-
-
-def _buffer(buffers: dict, key: object, shape: Sequence[int], dtype: type) -> np.ndarray:
-    """The array ``buffers`` keeps for ``key``, ``shape`` and ``dtype``, made on first use.
-
-    It holds whatever its last user wrote, so two arrays that are live at
-    once must differ in ``key``.
-    """
-    full = (key, tuple(shape), np.dtype(dtype))
-    if full not in buffers:
-        buffers[full] = np.empty(shape, dtype=dtype)
-    return buffers[full]
-
-
-def _block(arr: np.ndarray, index: tuple) -> np.ndarray:
-    """The view of ``arr`` at a :meth:`_Product.blocks` index.
-
-    ``arr`` has the product's rank and broadcasts to it; its axes of length
-    one stay length one, so the view still broadcasts to the block.
-    """
-    *lead, run = index
-    pick = tuple(j if n > 1 else 0 for j, n in zip(lead, arr.shape))
-    return arr[(*pick, run if arr.shape[len(lead)] > 1 else slice(None))]
 
 
 class _Layout:
@@ -508,8 +237,7 @@ class _Layout:
 
     The four grounding/escape roots never mix with the rest (see the module
     docstring), so the joint spans only the thresholds, compliance switches
-    and per-ship priority/situation views.  The compliance switches and ship
-    views form the row block of every contraction, the thresholds the columns.
+    and per-ship priority/situation views, one layout axis per root.
     """
 
     def __init__(
@@ -532,10 +260,6 @@ class _Layout:
             sorted(roots, key=lambda r: (r in THRESHOLDS, r != "ample_time"))
         )
         self.cards = tuple(len(self.prior_vec[r]) for r in self.f_roots)
-        rank = len(self.f_roots)
-        self.axis_arrays = {
-            r: self._axis(r, range(card)) for r, card in zip(self.f_roots, self.cards)
-        }
 
         self.specs = nodes.model_node_specs(n_ships)
         cards = {v.id: v.cardinality for v in measurement_variables(n_ships, disc)}
@@ -545,69 +269,21 @@ class _Layout:
             spec.node_id: truth_table(spec.predicate, tuple(cards.get(p, 2) for p in spec.parents))
             for spec in self.specs
         }
-        self.gives_way_table = truth_table(nodes.gives_way_to, (2,) * len(nodes.GIVES_WAY_BASES))
-
-        # stands_on_ok_i couples the ships: it and the nodes that read it are
-        # evaluated after the fold that steps and scoring share.  tails[i-1]
-        # are the nodes that read ship i's stands_on_ok.
-        folded = [
+        # The nodes a slice's constraint and exported nodes read, in
+        # registry order; tails[i-1] are those that read ship i's
+        # stands_on_ok, which a contradiction's diagnosis refolds.
+        self.folded = tuple(
             spec for spec in self.specs
             if spec.node_id not in _SKIP_NODES and not spec.node_id.startswith("ship_compatible_")
-        ]
+        )
         self.stands_on = tuple(ship("stands_on_ok", i) for i in range(1, n_ships + 1))
-        coupled = set(self.stands_on).union(s.node_id for s in _reading(folded, self.stands_on))
-        self.shared_specs = tuple(s for s in folded if s.node_id not in coupled)
-        self.coupled_specs = tuple(s for s in folded if s.node_id in coupled)
-        self.tails = tuple(_reading(self.coupled_specs, (s,)) for s in self.stands_on)
-
-        # Ship i's two axes sit together in the row block, after the shared
-        # compliance switches and before the thresholds; dropping the other
-        # ships' axes leaves a (switch cells, 15, threshold cells) array.
-        self.ship_axes = tuple(
-            tuple(self.f_roots.index(ship(base, i)) for base in nodes.SHIP_INTENTIONS)
-            for i in range(1, n_ships + 1)
-        )
-        owned = {ax for axes in self.ship_axes for ax in axes}
-        split = sum(r not in THRESHOLDS for r in self.f_roots)
-        self.switch_axes = tuple(j for j in range(split) if j not in owned)
-        self.threshold_axes = tuple(range(split, rank))
-        vecs = [self.prior_vec[r] for r in self.f_roots]
-        self.local = self.factor_weight(self.prior_vec)
-        # The step's products share their block buffers (see _CHUNK_CELLS).
-        self.prior = _Product(
-            vecs, range(rank), split, len(self.switch_axes), self.local[0].buffers
-        )
+        self.tails = tuple(_reading(self.folded, (s,)) for s in self.stands_on)
         # The nodes that read each root directly, for lumping its values.
         self.readers = {
             r: tuple(spec for spec in self.specs if r in spec.parents) for r in self.f_roots
         }
 
-    def _axis(self, root: str, values: Iterable[int]) -> np.ndarray:
-        """``values`` of ``root`` as an index array along its layout axis."""
-        j = self.f_roots.index(root)
-        shape = (1,) * j + (-1,) + (1,) * (len(self.f_roots) - 1 - j)
-        return np.asarray(list(values), dtype=np.uint8).reshape(shape)
-
-    def factor_weight(self, dists: Mapping[str, np.ndarray]) -> tuple[_Product, ...]:
-        """A product weight as one :class:`_Product` per ship, on its local axes.
-
-        Ship i's local axes are the shared ones (compliance switches and
-        thresholds) and its own two; with one ship they are the whole joint.
-        The ships' products share one set of block buffers, which lives as
-        long as they do.
-        """
-        n_switch = len(self.switch_axes)
-        buffers: dict = {}
-        return tuple(
-            _Product([dists[self.f_roots[j]] for j in axes], axes, n_switch + 2, n_switch, buffers)
-            for axes in (
-                (*self.switch_axes, *own, *self.threshold_axes) for own in self.ship_axes
-            )
-        )
-
-    def lumps(
-        self, observed: Mapping[str, int]
-    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+    def lumps(self, observed: Mapping[str, int]) -> tuple[np.ndarray, ...]:
         """Each root's values lumped into the classes one slice cannot tell apart.
 
         ``observed`` fixes the slice's measurement states and latch carries
@@ -618,46 +294,48 @@ class _Layout:
         on one member per class loses nothing (context-specific
         independence, Boutilier et al. UAI 1996).  A threshold is read only
         through ``meas_bin > thr``, so it splits into at most ``n + 1``
-        classes.  Returns each class's first member as an axis array, as
-        :attr:`axis_arrays` lays out every value, and each value's class.
+        classes.  Returns each value's class per layout axis, the classes
+        numbered in the order of their first members.
         """
-        axes: dict[str, np.ndarray] = {}
-        labels: dict[str, np.ndarray] = {}
+        labels = []
         for root, card in zip(self.f_roots, self.cards):
-            # Per reader: its table, an index with the observed parents fixed
-            # and the others free, and the root's place in it.
-            readers = [
-                (
-                    self.tables[spec.node_id],
-                    [observed.get(p, slice(None)) for p in spec.parents],
-                    spec.parents.index(root),
-                )
-                for spec in self.readers[root]
-            ]
+            # Per reader, its table with the observed parents fixed and the
+            # others free, one row per value of the root.
+            rows = []
+            for spec in self.readers[root]:
+                free = [p for p in spec.parents if p not in observed]
+                table = self.tables[spec.node_id][
+                    tuple(observed.get(p, slice(None)) for p in spec.parents)
+                ]
+                rows.append(table.swapaxes(0, free.index(root)).reshape(card, -1))
             classes: dict[bytes, int] = {}
-            first: list[int] = []  # each class's first member
-            labels[root] = np.empty(card, dtype=np.intp)
-            for v in range(card):
-                for _, index, k in readers:
-                    index[k] = v
-                key = b"".join(table[tuple(index)].tobytes() for table, index, _ in readers)
-                labels[root][v] = classes.setdefault(key, len(classes))
-                if labels[root][v] == len(first):
-                    first.append(v)
-            axes[root] = self._axis(root, first)
-        return axes, labels
+            keys = np.concatenate(rows, axis=1)
+            label = [classes.setdefault(key.tobytes(), len(classes)) for key in keys]
+            labels.append(np.array(label, dtype=np.intp))
+        return tuple(labels)
 
-    def factored(self, k: int) -> bool:
-        """Whether a constraint with ``k`` coupled slices is contracted ship by ship.
 
-        Its ``(n + 1)**k`` terms read ``n`` ship-local arrays each; past the
-        cells of one joint, ANDing the pieces into the joint reads fewer.
-        Step timings agree (module docstring): the pass over the joint is as
-        fast at the first K past that line with two ships and faster with
-        three, and faster at every K after it.
-        """
-        n = self.n_ships
-        return (n + 1) ** k * n * math.prod(self.local[0].shape) <= math.prod(self.cards)
+def _refine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The common refinement of two labellings of one root's values.
+
+    Two values share a class when they share one in both; the classes are
+    numbered in the order of their first members, as :meth:`_Layout.lumps`
+    numbers them, so refining by a coarser labelling changes nothing.
+    """
+    _, first, inverse = np.unique(a * len(b) + b, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def _firsts(labels: np.ndarray) -> np.ndarray:
+    """Each class's first member, in class order: the value a fold takes for it."""
+    return np.unique(labels, return_index=True)[1]
+
+
+def _weights(
+    layout: _Layout, labels: Sequence[np.ndarray], dists: Mapping[str, np.ndarray]
+) -> list[np.ndarray]:
+    """Per layout axis, each class's weight: the sum of its members' weights in ``dists``."""
+    return [np.bincount(label, weights=dists[r]) for r, label in zip(layout.f_roots, labels)]
 
 
 def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
@@ -667,8 +345,8 @@ def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
     first, fold into one small-integer code, so the only operation at the
     broadcast result's size is a single lookup in the flat table.
     """
-    sub = table[tuple(slice(None) if np.ndim(a) else int(a) for a in args)]
-    arrays = [a for a in args if np.ndim(a)]
+    sub = table[tuple(slice(None) if isinstance(a, np.ndarray) else a for a in args)]
+    arrays = [a for a in args if isinstance(a, np.ndarray)]
     if not arrays:
         return int(sub)
     order = sorted(range(len(arrays)), key=lambda k: arrays[k].size)
@@ -677,116 +355,33 @@ def _lookup(table: np.ndarray, args: Sequence) -> np.ndarray | int:
     code = arrays[order[0]].astype(code_type)
     for k, card in zip(order[1:], sub.shape[1:]):
         code = code * code_type(card) + arrays[k]
-    flat = sub.ravel()
-    if flat.size > 64 or code.size <= _CHUNK_CELLS:
-        return flat[code]
-    out = np.empty(code.shape, dtype=bool)
-    # Past a chunk of cells, a table of up to 64 entries packs into one
-    # machine word: a shift and a mask look the codes up without numpy first
-    # widening them to intp indices.  The shift runs a chunk at a time, so
-    # its word-wide scratch stays small.
-    word_type = np.min_scalar_type((1 << flat.size) - 1).type
-    word = word_type(sum(1 << int(k) for k in np.flatnonzero(flat)))
-    codes, cells = code.reshape(-1), out.reshape(-1)
-    shifted = np.empty(min(codes.size, _CHUNK_CELLS), dtype=word_type)
-    for s in range(0, codes.size, _CHUNK_CELLS):
-        chunk = shifted[: len(codes[s : s + _CHUNK_CELLS])]
-        np.right_shift(word, codes[s : s + _CHUNK_CELLS], out=chunk)
-        np.bitwise_and(chunk, word_type(1), out=chunk)
-        cells[s : s + _CHUNK_CELLS] = chunk
-    return out
-
-
-@dataclass
-class _SliceMessage:
-    """One slice's evidence, folded down to functions of the intention roots.
-
-    ``caps[i - 1]`` is ship i's piece of the slice's collision-avoidance
-    constraint, on the shared axes and ship i's own: ``(cap_i(C),)`` when
-    every ``stands_on_ok`` is the observed ``C`` (the course is held, or one
-    ship), else ``(cap_i(1), cap_i(0), g_i)``, and the slice couples the
-    ships (see :func:`_options`).
-    """
-
-    caps: tuple[tuple[np.ndarray, ...], ...]
-    v_side: np.ndarray  # bool per safe_ground_side bin
-    v_front: np.ndarray  # bool per safe_ground_front bin
-    nav_maneuver: bool
-    turned_sb: int
-    turned_port: int
-    dense: np.ndarray | None = None  # the constraint over the joint, past the cutover
-
-    @property
-    def coupled(self) -> bool:
-        return len(self.caps[0]) > 1
+    return sub.ravel()[code]
 
 
 @dataclass(frozen=True)
 class _Frozen:
-    """The frozen slices' evidence, kept per ship.
+    """Slices' evidence on their common partition of the roots.
 
-    ``held[i - 1]`` is ``F_i``, the AND of ship i's caps over the frozen
-    slices that do not couple the ships (None before the first), and
-    ``coupled`` holds each coupling slice's per-ship pieces.  Once a step's
-    terms would cost more than a pass over the joint (:meth:`settled`), all
-    of it is ANDed into ``dense``, one boolean array over the joint, and
-    later slices are ANDed into that.  ``k`` counts the coupling slices
-    either way.  ``loose[i - 1]`` is the AND over every frozen slice of
-    ship i's cap at any value of ``stands_on_ok_i``, which names the ship in
-    a contradiction (:func:`_blame`).
+    ``labels[j]`` gives each value of layout axis j its class, and ``joint``
+    is the AND of the slices' constraints, one cell per class on every
+    axis.  ``v_side`` and ``v_front`` are the AND of their grounding
+    indicators, one entry per threshold bin.
     """
 
-    held: tuple[np.ndarray | None, ...]
-    coupled: tuple[tuple[tuple[np.ndarray, ...], ...], ...]
-    loose: tuple[np.ndarray | None, ...]
+    labels: tuple[np.ndarray, ...]
+    joint: np.ndarray
     v_side: np.ndarray
     v_front: np.ndarray
-    dense: np.ndarray | None = None
-    k: int = 0
 
-    def add(self, layout: _Layout, msg: _SliceMessage) -> _Frozen:
-        """This evidence and one more slice's, without touching this one's arrays."""
-        held, coupled, dense = self.held, self.coupled, self.dense
-        if dense is not None:
-            dense = dense & (_dense(layout, msg.caps) if msg.dense is None else msg.dense)
-        elif msg.coupled:
-            coupled = (*coupled, msg.caps)
-        else:
-            held = tuple(_and(f, cap) for f, (cap,) in zip(held, msg.caps))
-        loose = tuple(_and(f, _loose(pieces)) for f, pieces in zip(self.loose, msg.caps))
-        v_side, v_front = self.v_side & msg.v_side, self.v_front & msg.v_front
-        return _Frozen(held, coupled, loose, v_side, v_front, dense, self.k + msg.coupled)
-
-    def settled(self, layout: _Layout, live: _SliceMessage) -> _Frozen:
-        """This evidence, as one dense joint once a step with ``live`` is past the cutover."""
-        if self.dense is not None or layout.factored(self.k + live.coupled):
-            return self
-        dense = np.ones(layout.cards, dtype=bool)
-        for f in self.held:
-            if f is not None:
-                dense &= f
-        for caps in self.coupled:
-            dense &= _dense(layout, caps)
-        return replace(self, held=(None,) * layout.n_ships, coupled=(), dense=dense)
-
-    def arrays(self) -> Iterator[np.ndarray | None]:
-        """Every array this evidence keeps, in a fixed order."""
-        yield from self.held
-        for caps in self.coupled:
-            for pieces in caps:
-                yield from pieces
-        yield from self.loose
-        yield from (self.dense, self.v_side, self.v_front)
-
-
-def _and(a: np.ndarray | None, b: np.ndarray | None) -> np.ndarray | None:
-    """``a & b``, where None is true everywhere."""
-    return b if a is None else a if b is None else a & b
-
-
-def _loose(pieces: Sequence[np.ndarray]) -> np.ndarray:
-    """A ship's cap at any value of ``stands_on_ok``: ``cap_i(1) or cap_i(0)``."""
-    return pieces[0] if len(pieces) == 1 else pieces[0] | pieces[1]
+    @classmethod
+    def empty(cls, layout: _Layout) -> _Frozen:
+        """No slice's evidence: one class per root, true everywhere."""
+        return cls(
+            tuple(np.zeros(card, dtype=np.intp) for card in layout.cards),
+            np.ones((1,) * len(layout.cards), dtype=bool),
+            np.ones(len(layout.prior_vec["safe_ground_side"]), dtype=bool),
+            np.ones(len(layout.prior_vec["safe_ground_front"]), dtype=bool),
+        )
 
 
 _SKIP_NODES = {"ground_safe", "compatible"}
@@ -824,48 +419,27 @@ def _observed(meas_states: Mapping[str, int], sa_in: int, pa_in: int) -> dict[st
 
 
 def _fold(
-    layout: _Layout,
-    meas_states: Mapping[str, int],
-    sa_in: int,
-    pa_in: int,
-    axis_arrays: Mapping[str, np.ndarray] | None = None,
+    layout: _Layout, observed: Mapping[str, int], reps: Sequence[np.ndarray]
 ) -> dict[str, object]:
-    """Fold one slice's observations through every node that does not couple ships.
+    """Fold one slice's observations through every node its constraint reads.
 
     Walks the model registry in dependency order, looking each node up in
-    its truth table: observed measurements and latch carries enter as
-    integers, intention roots as axis arrays, and previously folded nodes as
-    boolean arrays that span only the axes they depend on.  The roots take
-    every value (``layout.axis_arrays``) unless ``axis_arrays`` gives one
-    per class (:meth:`_Layout.lumps`).  The grounding thresholds are not
-    layout axes; they fold as vectors of their own.  Steps and candidate
-    scoring both start from this fold.
+    its truth table: observed measurements and latch carries
+    (:func:`_observed`) enter as integers, the root on layout axis j as the
+    values ``reps[j]`` along that axis (one per class, or every value), and
+    previously folded nodes as boolean arrays that span only the axes they
+    depend on.  The grounding thresholds are not layout axes; they fold as
+    vectors of their own.
     """
-    values: dict[str, object] = _observed(meas_states, sa_in, pa_in)
-    values.update(layout.axis_arrays if axis_arrays is None else axis_arrays)
+    values: dict[str, object] = dict(observed)
+    rank = len(layout.f_roots)
+    for j, (root, vals) in enumerate(zip(layout.f_roots, reps)):
+        shape = (1,) * j + (-1,) + (1,) * (rank - 1 - j)
+        values[root] = np.asarray(vals, dtype=np.uint8).reshape(shape)
     for root in ("safe_ground_side", "safe_ground_front"):
         values[root] = np.arange(len(layout.prior_vec[root]), dtype=np.uint8)
-    _evaluate(layout, layout.shared_specs, values)
+    _evaluate(layout, layout.folded, values)
     return values
-
-
-def _lumped(
-    layout: _Layout,
-    dists: Mapping[str, np.ndarray],
-    meas_states: Mapping[str, int],
-    sa_in: int,
-    pa_in: int,
-) -> tuple[tuple[_Product, ...], dict[str, object]]:
-    """A candidate slice's per-ship weight and shared fold on its lumped roots.
-
-    Each root takes one value per class (:meth:`_Layout.lumps`), weighted by
-    the sum of its members' weights in ``dists``, so ``_factored_z_f`` on
-    the pair gives the slice's weight under ``dists``.
-    """
-    axes, labels = layout.lumps(_observed(meas_states, sa_in, pa_in))
-    values = _fold(layout, meas_states, sa_in, pa_in, axes)
-    lumped = {r: np.bincount(labels[r], weights=dists[r]) for r in layout.f_roots}
-    return layout.factor_weight(lumped), values
 
 
 _CAP_BASES = ("colav_ok", "nav_maneuver_ok")
@@ -876,6 +450,11 @@ def _cap(values: Mapping[str, object], i: int) -> np.ndarray:
     return np.logical_or(*(values[ship(b, i)] for b in _CAP_BASES))
 
 
+def _constraint(layout: _Layout, values: Mapping[str, object]) -> np.ndarray:
+    """A folded slice's collision-avoidance constraint: every ship's cap."""
+    return functools.reduce(np.logical_and, (_cap(values, i) for i in range(1, layout.n_ships + 1)))
+
+
 def _ship_tail(
     layout: _Layout,
     values: Mapping[str, object],
@@ -884,243 +463,130 @@ def _ship_tail(
 ) -> Mapping[str, object]:
     """Ship ``i``'s tail nodes with ``stands_on_ok_i`` fixed to ``s``, over ``values``.
 
-    The tail (``layout.tails[i - 1]``: ``gives_way_ok_i``, ``colav_ok_i``)
-    then spans the shared axes and ship ``i``'s own only.  Its values go
-    into a scope of their own, so ``values`` is left as it was.
+    The tail is ``layout.tails[i - 1]``: ``gives_way_ok_i`` and
+    ``colav_ok_i``.  Its values go into a scope of their own, so ``values``
+    is left as it was.
     """
     scope = ChainMap({layout.stands_on[i - 1]: s}, values)
     _evaluate(layout, layout.tails[i - 1], scope)
     return scope
 
 
-def _gives_way(layout: _Layout, values: Mapping[str, object], i: int) -> np.ndarray:
-    """``g_i``: ship ``i`` is giving way (:func:`~shipintent.nodes.gives_way_to`)."""
-    return _lookup(layout.gives_way_table, [values[ship(b, i)] for b in nodes.GIVES_WAY_BASES])
+def _add_slice(
+    layout: _Layout, frozen: _Frozen, observed: Mapping[str, int]
+) -> tuple[_Frozen, dict[str, object]]:
+    """``frozen`` and one more slice's evidence, on their common partition.
 
-
-def _standing(layout: _Layout, values: Mapping[str, object]) -> bool | None:
-    """The value of every ``stands_on_ok_i`` when it is observed, else None.
-
-    ``stands_on_ok_i = C or OR_{j!=i} g_j``: it is ``C`` (course straight and
-    speed unchanged, :func:`~shipintent.nodes.course_held`) when ``C`` holds
-    or with one ship; otherwise it depends on the other ships' ``g_j``.
+    The slice's lumps refine the frozen partition, and the kept array is
+    re-indexed along each axis whose classes split.  The slice is folded on
+    each class's first member and its constraint ANDed in.  Returns that
+    evidence and the slice's fold; ``frozen`` is left as it was.
     """
-    held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
-    return held if held or layout.n_ships == 1 else None
+    labels = tuple(map(_refine, frozen.labels, layout.lumps(observed)))
+    reps = [_firsts(label) for label in labels]
+    kept = frozen.joint
+    for j, (old, first) in enumerate(zip(frozen.labels, reps)):
+        if len(first) > kept.shape[j]:
+            kept = np.take(kept, old[first], axis=j)
+    values = _fold(layout, observed, reps)
+    joint = np.empty(tuple(map(len, reps)), dtype=bool)
+    np.logical_and(kept, _constraint(layout, values), out=joint)
+    v_side = frozen.v_side & np.asarray(values["ground_safe_side"], dtype=bool)
+    v_front = frozen.v_front & np.asarray(values["ground_safe_front"], dtype=bool)
+    return _Frozen(labels, joint, v_side, v_front), values
 
 
-def _ship_pieces(
-    layout: _Layout,
-    values: Mapping[str, object],
-    i: int,
-    standing: bool | None,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray | tuple[np.ndarray, np.ndarray]]:
-    """Ship ``i``'s piece of a slice's constraint and its ``colav_ok_i``.
+def _lumped(
+    layout: _Layout, dists: Mapping[str, np.ndarray], observed: Mapping[str, int]
+) -> tuple[float, dict[str, object]]:
+    """A candidate slice's constraint weight under ``dists``, and its fold.
 
-    The piece is as :class:`_SliceMessage` keeps it.  With
-    ``stands_on_ok_i`` observed (``standing``), ``colav_ok_i`` is one array;
-    otherwise it is the pair at ``stands_on_ok_i`` = 0 and 1.
+    The slice is folded on its own lumped roots, one value per class
+    (:meth:`_Layout.lumps`), and each class weighs its members' summed
+    weights in ``dists``.
     """
-    colav = ship("colav_ok", i)
-
-    def cap(s: int) -> tuple[np.ndarray, np.ndarray]:
-        tail = _ship_tail(layout, values, i, s)
-        return _cap(tail, i), tail[colav]
-
-    if standing is not None:
-        piece, colav_s = cap(standing)
-        return (piece,), colav_s
-    (c0, colav0), (c1, colav1) = cap(0), cap(1)
-    return (c1, c0, _gives_way(layout, values, i)), (colav0, colav1)
+    labels = layout.lumps(observed)
+    values = _fold(layout, observed, [_firsts(label) for label in labels])
+    return _weigh(_constraint(layout, values), _weights(layout, labels, dists)), values
 
 
-def _slice_message(
-    layout: _Layout, meas_states: Mapping[str, int], sa_in: int, pa_in: int
-) -> tuple[_SliceMessage, dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]]:
-    """Fold one slice's observations into per-ship boolean root-space indicators.
+def _weigh(arr: np.ndarray, weights: Sequence[np.ndarray]) -> float:
+    """Weighted sum of a boolean array over the layout axes, one weight vector per axis.
 
-    The shared fold, then each ship's tail with ``stands_on_ok_i`` fixed to
-    a scalar (:func:`_ship_tail`), so every array spans the shared axes and
-    one ship's own: no array spans the joint.  Returns the message a slice
-    keeps and the exported per-ship node indicators, which only the step's
-    posterior bundle reads; ``colav_ok_i`` of a coupling slice comes as its
-    pair at ``stands_on_ok_i`` = 0 and 1.
+    Axes of length one are those the array does not span; they are summed
+    out of the weight instead of being broadcast.
     """
-    values = _fold(layout, meas_states, sa_in, pa_in)
-    standing = _standing(layout, values)
-    caps = []
-    node_arrays: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]] = {}
-    for i in range(1, layout.n_ships + 1):
-        cap, node_arrays[ship("colav_ok", i)] = _ship_pieces(layout, values, i, standing)
-        caps.append(cap)
-        for base in _EXPORT_BASES[1:]:
-            node_arrays[ship(base, i)] = np.asarray(values[ship(base, i)], dtype=bool)
-    message = _SliceMessage(
-        caps=tuple(caps),
-        v_side=np.asarray(values["ground_safe_side"], dtype=bool),
-        v_front=np.asarray(values["ground_safe_front"], dtype=bool),
-        nav_maneuver=bool(values["nav_maneuver"]),
-        turned_sb=int(values["turned_starboard"]),
-        turned_port=int(values["turned_port"]),
-    )
-    return message, node_arrays
+    out = np.asarray(arr, dtype=np.float64)
+    for vec in reversed(weights):
+        out = out @ vec if out.shape[-1] > 1 else out[..., 0] * vec.sum()
+    return float(out)
 
 
-_Term = tuple[int | None, tuple[tuple[np.ndarray, ...], ...]]
-
-
-def _options(caps: Sequence[Sequence[np.ndarray | None]]) -> tuple[_Term, ...]:
-    """One slice's constraint as disjoint terms, each a product over ships.
-
-    A term is ``(s, ops)``: ship i's factor is the AND of ``ops[i - 1]`` and
-    ``s`` is the value ``stands_on_ok`` takes in it (None when the slice
-    does not couple).  A slice that does not couple is one product, ``AND_i
-    cap_i(C)``.  One that does is ``AND_i cap_i(1)`` where ``G = OR_j g_j``
-    holds and ``AND_i cap_i(0)`` where it fails: every ship reads the one
-    switch ``G``, as ``g_i`` makes ship i's tail ignore ``stands_on_ok_i``.
-    Split by the first ship that gives way, ``[G] = sum_m g_m prod_{j<m} not
-    g_j``, that is ``n + 1`` disjoint products: in term m, ship j's factor
-    is ``cap_j(1)`` with ``not g_j`` before m, with ``g_j`` at m and alone
-    after m; in the last, every ship's is ``cap_j(0)`` with ``not g_j``.  No
-    term is negative, so a weight summed from them is exactly zero only
-    where the constraint holds nowhere.  A None piece is true everywhere.
-    """
-    if len(caps[0]) == 1:
-        return ((None, tuple(tuple(c) for c in caps)),)
-    factors = []  # per ship: cap(1) alone, with g, with not g; cap(0) with not g
-    for c1, c0, g in caps:
-        not_g = np.logical_not(g)
-        factors.append((_ops(c1), _ops(c1, g), _ops(c1, not_g), _ops(c0, not_g)))
-    terms = [
-        (1, tuple(f[2] if j < m else f[1] if j == m else f[0] for j, f in enumerate(factors)))
-        for m in range(len(caps))
-    ]
-    return (*terms, (0, tuple(f[3] for f in factors)))
-
-
-def _ops(*pieces: np.ndarray | None) -> tuple[np.ndarray, ...]:
-    """A factor's operands, leaving out the pieces that are true everywhere."""
-    return tuple(p for p in pieces if p is not None)
-
-
-def _terms(
-    base: Sequence[Sequence[np.ndarray]], slices: Sequence[Sequence[Sequence[np.ndarray]]]
-) -> list[_Term]:
-    """``AND_i base[i - 1]`` times every slice's constraint, multiplied out.
-
-    With K coupling slices that is ``(n + 1)**K`` disjoint terms, each a
-    product over ships; ``s`` is the last slice's.
-    """
-    terms: list[_Term] = [(None, tuple(tuple(b) for b in base))]
-    for caps in slices:
-        options = _options(caps)
-        terms = [
-            (s, tuple(a + b for a, b in zip(ops, o_ops)))
-            for _, ops in terms
-            for s, o_ops in options
-        ]
-    return terms
-
-
-def _ship_sums(
-    product: _Product, ops: Sequence[np.ndarray], cache: dict | None = None
-) -> np.ndarray | float:
-    """Ship sums of the AND of ``ops`` per shared cell (:meth:`_Product.column_sums`).
-
-    With no ops, the ship's factor is true everywhere and its sum is the
-    total weight of the ship's own axes.  ``cache`` keeps the sums by the
-    operands' identities, so a factor that several terms share is summed
-    once.
-    """
-    key = tuple(map(id, ops))
-    if cache is not None and key in cache:
-        return cache[key]
-    arrays = [product.view(a) for a in ops]
-    sums = product.column_sums(arrays) if arrays else float(product.inner.sum())
-    if cache is not None:
-        cache[key] = sums
-    return sums
-
-
-def _shared_weight(product: _Product, per_cell: np.ndarray | float) -> float:
-    """``per_cell`` (switch x threshold cells, or one for all) against the shared weight."""
-    cells = np.broadcast_to(per_cell, (len(product.switch), len(product.cols)))
-    return float(product.switch @ cells @ product.cols)
-
-
-def _z(weight: Sequence[_Product], terms: Sequence[_Term]) -> float:
-    """Weight of a sum of product terms under a per-ship product weight.
-
-    Per shared cell, a term weighs the product of the ships' sums of their
-    factors (variable elimination on the star of shared and per-ship axes,
-    Koller & Friedman 2009, ch. 9-10); each term is contracted against the
-    shared axes' weight and the weights are summed.
-    """
-    caches: list[dict] = [{} for _ in weight]
-    return sum(
-        _shared_weight(weight[0], _product(map(_ship_sums, weight, ops, caches)))
-        for _, ops in terms
-    )
-
-
-def _product(factors: Iterable) -> np.ndarray | float:
-    """The product of per-shared-cell sums: a lone one itself, uncopied, and 1.0 for none."""
-    factors = list(factors)
-    return functools.reduce(np.multiply, factors) if factors else 1.0
-
-
-def _factored_z_f(
-    layout: _Layout, weight: Sequence[_Product], values: Mapping[str, object]
-) -> float:
-    """Weight of one slice's constraint under a product weight, ship by ship.
-
-    ``values`` is the slice's shared fold.  The one-slice case of the step's
-    contraction: the slice's terms (:func:`_options`) through :func:`_z`.
-    """
-    standing = _standing(layout, values)
-    caps = [_ship_pieces(layout, values, i, standing)[0] for i in range(1, layout.n_ships + 1)]
-    return _z(weight, _options(caps))
-
-
-def _dense(
-    layout: _Layout, caps: Sequence[Sequence[np.ndarray]], g: np.ndarray | None = None
-) -> np.ndarray:
-    """One slice's constraint as a boolean array over the whole joint.
-
-    A coupling slice's ANDs, ship by ship, ``cap_i(1)`` where ``G = OR_j
-    g_j`` holds and ``cap_i(0)`` where it fails (:func:`_switch`); ``g`` is
-    ``G`` if the caller has it.
-    """
-    if len(caps[0]) == 1:
-        out = np.ones(layout.cards, dtype=bool)
-        for (cap,) in caps:
-            out &= cap
-        return out
-    g = _any_gives_way(caps) if g is None else g
-    out = _switch(g, caps[0][0], caps[0][1])
-    switched = np.empty_like(out)
-    for cap1, cap0, _ in caps[1:]:
-        out &= _switch(g, cap1, cap0, switched)
+def _weighted(joint: np.ndarray, weights: Sequence[np.ndarray]) -> np.ndarray:
+    """``joint`` in float64, each cell times its classes' weights."""
+    out = joint.astype(np.float64)
+    for j, vec in enumerate(weights):
+        out *= vec.reshape((1,) * j + (-1,) + (1,) * (out.ndim - 1 - j))
     return out
 
 
-def _any_gives_way(caps: Sequence[Sequence[np.ndarray]]) -> np.ndarray:
-    """``G = OR_j g_j`` of a coupling slice, on the shared axes and every ship's own."""
-    return functools.reduce(np.logical_or, (pieces[2] for pieces in caps))
+def _within(weighted: np.ndarray, arr: np.ndarray) -> float:
+    """The weight of ``arr`` within a :func:`_weighted` joint.
 
-
-def _switch(
-    g: np.ndarray, on: np.ndarray, off: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
-    """``on`` where ``g`` holds and ``off`` elsewhere, into ``out`` (a new array by default).
-
-    As ``off ^ (g & (on ^ off))``: logical operations, which broadcast the
-    operands cell by cell into ``out`` with no temporary of its size.
+    The joint is first summed over the axes ``arr`` does not span, then
+    over the cells where ``arr`` holds, with no temporary of its size.
     """
-    if out is None:
-        out = np.empty(np.broadcast_shapes(g.shape, on.shape, off.shape), dtype=bool)
-    np.logical_and(g, np.logical_xor(on, off), out=out)
-    return np.logical_xor(out, off, out=out)
+    unit = tuple(j for j, n in enumerate(arr.shape) if n < weighted.shape[j])
+    part = weighted.sum(axis=unit, keepdims=True) if unit else weighted
+    return float(part.sum(where=arr))
+
+
+def _spread(
+    masses: np.ndarray, weights: np.ndarray, labels: np.ndarray, prior: np.ndarray
+) -> np.ndarray:
+    """Class masses spread over their members in proportion to ``prior``.
+
+    A class that weighs nothing gets nothing.
+    """
+    per_weight = np.divide(masses, weights, out=np.zeros_like(masses), where=weights > 0.0)
+    return prior * per_weight[labels]
+
+
+def _loose(layout: _Layout, values: Mapping[str, object], i: int) -> np.ndarray:
+    """Ship ``i``'s cap at any value of ``stands_on_ok_i`` the slice leaves open.
+
+    ``stands_on_ok_i = C or OR_{j!=i} g_j`` is the observed ``C`` (course
+    straight and speed unchanged, :func:`~shipintent.nodes.course_held`)
+    when ``C`` holds or with one ship; otherwise both values are open.
+    """
+    held = nodes.course_held(*(values[p] for p in nodes.COURSE_HELD_PARENTS))
+    if held or layout.n_ships == 1:
+        return _cap(values, i)
+    return np.logical_or(*(_cap(_ship_tail(layout, values, i, s), i) for s in (0, 1)))
+
+
+def _blame(
+    layout: _Layout,
+    labels: Sequence[np.ndarray],
+    weights: Sequence[np.ndarray],
+    history: Iterable[Mapping[str, int]],
+) -> str:
+    """The node a contradiction names.
+
+    ``history`` holds every slice's observed parents, frozen and live; each
+    is refolded on the step's partition (``labels``).  The node is
+    ``ship_compatible_i`` (ship i's cap) if ship i's caps over every slice,
+    each at any value of ``stands_on_ok_i`` the slice leaves open
+    (:func:`_loose`), hold together nowhere the prior weighs: then nothing
+    explains the slices, whatever the other ships do.  Else ``compatible``.
+    """
+    reps = [_firsts(label) for label in labels]
+    folds = [_fold(layout, observed, reps) for observed in history]
+    for i in range(1, layout.n_ships + 1):
+        caps = functools.reduce(np.logical_and, (_loose(layout, v, i) for v in folds))
+        if _weigh(caps, weights) == 0.0:
+            return ship("ship_compatible", i)
+    return "compatible"
 
 
 def _branch_masses(
@@ -1144,166 +610,30 @@ def _unit(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-class _Masses(NamedTuple):
-    """A step's constraint contracted against the prior."""
-
-    switch: np.ndarray  # weight per switch cell
-    thresholds: np.ndarray  # weight per threshold cell
-    rows: list[tuple[_Product, np.ndarray]]  # weight per row of each product passed over
-    post: dict[str, float]  # per exported node, its weight within the constraint
-    prior: dict[str, float]  # per exported node, its weight alone
-
-
-def _factored_masses(
-    layout: _Layout,
-    terms: Sequence[_Term],
-    node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
-    live: _SliceMessage,
-) -> _Masses:
-    """The step's masses ship by ship, from the constraint's disjoint terms.
-
-    Every ship's sums per shared cell, once per distinct factor.  Ship i's
-    pass over one of its factors weighs it by the other ships' sums, added
-    up over the terms that share the factor, which gives its root marginals
-    and its exported nodes' weights.  A pass also yields its own ship's
-    sums, so ship 1 needs no separate one, and with one ship a step is a
-    single pass.  A ship's exported node weighs ``AND & node``; as ``cap_i``
-    contains ``colav_ok_i``, a coupling slice's ``colav_ok_i`` in a term is
-    the array at that term's ``s``.
-    """
-    n = layout.n_ships
-    weight = layout.local
-    ship_nodes = [
-        {ship(base, i): node_arrays[ship(base, i)] for base in _EXPORT_BASES}
-        for i in range(1, n + 1)
-    ]
-    totals = [float(p.inner.sum()) for p in weight]
-    prior: dict[str, float] = {}
-    for i in range(1, n + 1):
-        pair = node_arrays[ship("colav_ok", i)]
-        if isinstance(pair, tuple):
-            # The prior of [G] colav(1) + [not G] colav(0): the slice's
-            # terms with colav in ship i's cap and true in the others'.
-            pieces = [(None, None, c[2]) for c in live.caps]
-            pieces[i - 1] = (pair[1], pair[0], live.caps[i - 1][2])
-            prior[ship("colav_ok", i)] = _z(weight, _options(pieces))
-    caches: list[dict] = [{} for _ in weight]
-    keys = [tuple(tuple(map(id, o)) for o in ops) for _, ops in terms]
-    for _, ops in terms:
-        for p, o, cache in zip(weight[1:], ops[1:], caches[1:]):
-            _ship_sums(p, o, cache)
-    rows: list[np.ndarray | float] = [0.0] * n
-    post = dict.fromkeys(node_arrays, 0.0)
-    per_cell = 0.0  # per shared cell, the terms' sum of their products
-    for i, p in enumerate(weight):
-        if n > 1 and i == n - 1:  # no later pass reads the last ship's sums
-            caches[i].clear()
-        groups: dict = {}  # (factor, s) -> [ops, s, the other ships' summed weight]
-        for (s, ops), key in zip(terms, keys):
-            others = _product(caches[j][key[j]] for j in range(n) if j != i)
-            group = groups.setdefault((key[i], s), [ops[i], s, None])
-            group[2] = others if group[2] is None else group[2] + others
-        scale = math.prod(totals[:i] + totals[i + 1 :])
-        for first, ((key, _), (ops, s, others)) in enumerate(groups.items()):
-            arrays = {
-                name: p.view(a[s] if isinstance(a, tuple) else a)
-                for name, a in ship_nodes[i].items()
-            }
-            # Priors once, from the first pass; a coupling colav_ok_i's above.
-            fixed = [nm for nm, a in ship_nodes[i].items() if not isinstance(a, tuple)]
-            ops = [p.view(a) for a in ops]
-            cols = p.cols * others if n > 1 else None
-            r = p.joint_sums(ops, arrays, cols, [] if first else fixed)
-            if i == 0:
-                caches[0][key] = r.right
-                per_cell = per_cell + r.right * others
-            rows[i] = rows[i] + p.rows * r.left
-            for name, v in r.post.items():
-                post[name] += v
-            prior.update((name, scale * v) for name, v in r.prior.items())
-    return _Masses(*_shared_masses(weight[0], per_cell), list(zip(weight, rows)), post, prior)
-
-
-def _dense_masses(
-    layout: _Layout,
-    frozen: np.ndarray,
-    live: _SliceMessage,
-    node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
-) -> _Masses:
-    """The step's masses from one pass over the whole joint, past the cutover.
-
-    ``frozen`` is the frozen slices' dense joint.  The live slice's
-    constraint, and a coupling slice's ``colav_ok_i`` switched on ``G``, are
-    built over the joint once; the message keeps its constraint, so freezing
-    the slice is one AND (:meth:`_Frozen.add`).
-    """
-    p = layout.prior
-    g = _any_gives_way(live.caps) if live.coupled else None
-    live.dense = _dense(layout, live.caps, g)
-    arrays = {
-        name: _switch(g, a[1], a[0]) if isinstance(a, tuple) else a
-        for name, a in node_arrays.items()
-    }
-    r = p.joint_sums((frozen, live.dense), arrays, None, arrays)
-    return _Masses(*_shared_masses(p, r.right), [(p, p.rows * r.left)], r.post, r.prior)
-
-
-def _shared_masses(product: _Product, per_cell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights per switch cell and per threshold cell of per-shared-cell sums."""
-    return product.switch * (per_cell @ product.cols), (product.switch @ per_cell) * product.cols
-
-
-def _root_masses(layout: _Layout, masses: _Masses) -> list[np.ndarray]:
-    """The constraint's weight marginal on every layout axis, in layout order."""
-    blocks = [(layout.switch_axes, masses.switch), (layout.threshold_axes, masses.thresholds)]
-    blocks += [(p.axes[: p.split], per_row) for p, per_row in masses.rows]
-    out: dict[int, np.ndarray] = {}
-    for axes, flat in blocks:
-        weights = flat.reshape(tuple(layout.cards[j] for j in axes))
-        for k, j in enumerate(axes):
-            if j not in out:
-                out[j] = weights.sum(axis=tuple(x for x in range(len(axes)) if x != k))
-    return [out[j] for j in range(len(layout.cards))]
-
-
-def _blame(layout: _Layout, frozen: _Frozen, live: _SliceMessage) -> str:
-    """The node a contradiction names.
-
-    That is ``ship_compatible_i`` (ship i's cap) if ship i's caps over every
-    slice, each at any value of ``stands_on_ok_i``, hold together nowhere
-    the prior weighs: then no term weighs anything, whatever the other
-    ships do.  Else ``compatible``.
-    """
-    for i, (p, f, pieces) in enumerate(zip(layout.local, frozen.loose, live.caps)):
-        if _shared_weight(p, _ship_sums(p, (_and(f, _loose(pieces)),))) == 0.0:
-            return ship("ship_compatible", i + 1)
-    return "compatible"
-
-
 def _posterior_bundle(
     layout: _Layout,
-    frozen: _Frozen,
-    live: _SliceMessage,
-    node_arrays: Mapping[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
+    evidence: _Frozen,
+    values: Mapping[str, object],
+    history: Iterable[Mapping[str, int]],
 ) -> tuple[IntentionPosterior, dict[str, float]]:
-    """Exact posteriors and live-node probabilities from the slice messages.
+    """Exact posteriors and live-node probabilities of one step.
 
-    ``frozen`` is settled for this step (:meth:`_Frozen.settled`): ship by
-    ship while it keeps pieces, one pass over its dense joint once it does
-    not.
+    ``evidence`` holds every slice, the live one included, and ``values``
+    is the live slice's fold on the same partition (:func:`_add_slice`).
+    ``history`` is read only to name a contradiction (:func:`_blame`).
     """
-    if frozen.dense is None:
-        base = [[] if f is None else [f] for f in frozen.held]
-        terms = _terms(base, [*frozen.coupled, live.caps])
-        masses = _factored_masses(layout, terms, node_arrays, live)
-    else:
-        masses = _dense_masses(layout, frozen.dense, live, node_arrays)
-    z_f = float(masses.switch.sum())
+    weights = _weights(layout, evidence.labels, layout.prior_vec)
+    exported = [ship(base, i) for i in range(1, layout.n_ships + 1) for base in _EXPORT_BASES]
+    # The exported nodes' prior weights first: each converts its node to
+    # float64 for a moment, and no such copy then meets the weighted joint.
+    e_prior = {name: _weigh(values[name], weights) for name in exported}
+    weighted = _weighted(evidence.joint, weights)
+    z_f = float(weighted.sum())
 
     pi_s = layout.prior_vec["safe_ground_side"]
     pi_f = layout.prior_vec["safe_ground_front"]
-    u_s = pi_s * (frozen.v_side & live.v_side)
-    u_f = pi_f * (frozen.v_front & live.v_front)
+    u_s = pi_s * evidence.v_side
+    u_f = pi_f * evidence.v_front
     z_s, z_fr = float(u_s.sum()), float(u_f.sum())
 
     p_u = float(layout.prior_vec["unmodeled"][1])
@@ -1311,7 +641,7 @@ def _posterior_bundle(
     a_u, a_g, a_s = _branch_masses(p_u, p_g, z_f, z_s, z_fr)
     total = a_u + a_g + a_s
     if total <= 0.0:
-        blamed = _blame(layout, frozen, live) if z_f <= 0.0 else "compatible"
+        blamed = _blame(layout, evidence.labels, weights, history) if z_f <= 0.0 else "compatible"
         raise ContradictionError(
             "no intention assignment explains the observed behaviour", diagnosis=blamed
         )
@@ -1319,8 +649,11 @@ def _posterior_bundle(
     rest = 1.0 - p_u
     marg: dict[str, tuple[float, ...]] = {}
     f_weight = rest * (p_g + (1.0 - p_g) * z_s * z_fr)
-    for root, m_root in zip(layout.f_roots, _root_masses(layout, masses)):
-        marg[root] = _distribution(a_u * layout.prior_vec[root] + f_weight * m_root)
+    axes = range(weighted.ndim)
+    for j, (root, labels, w) in enumerate(zip(layout.f_roots, evidence.labels, weights)):
+        prior = layout.prior_vec[root]
+        m_root = _spread(weighted.sum(axis=tuple(k for k in axes if k != j)), w, labels, prior)
+        marg[root] = _distribution(a_u * prior + f_weight * m_root)
     no_ground_intent = rest * z_f * (1.0 - p_g)
     marg["safe_ground_side"] = _distribution((a_u + a_g) * pi_s + no_ground_intent * z_fr * u_s)
     marg["safe_ground_front"] = _distribution((a_u + a_g) * pi_f + no_ground_intent * z_s * u_f)
@@ -1332,16 +665,15 @@ def _posterior_bundle(
 
     node_probs: dict[str, float] = {}
     post_weight = a_g + a_s
-    for name in node_arrays:
-        e_post = masses.post[name] / z_f if z_f > 0.0 else 0.0
-        node_probs[name] = _unit((a_u * masses.prior[name] + post_weight * e_post) / total)
-    s_live = float((pi_s * live.v_side).sum())
-    f_live = float((pi_f * live.v_front).sum())
+    for name in exported:
+        e_post = _within(weighted, values[name]) / z_f if z_f > 0.0 else 0.0
+        node_probs[name] = _unit((a_u * e_prior[name] + post_weight * e_post) / total)
+    s_live = float((pi_s * values["ground_safe_side"]).sum())
+    f_live = float((pi_f * values["ground_safe_front"]).sum())
     node_probs["ground_safe_side"] = _unit(((a_u + a_g) * s_live + a_s) / total)
     node_probs["ground_safe_front"] = _unit(((a_u + a_g) * f_live + a_s) / total)
-    node_probs["nav_maneuver"] = float(live.nav_maneuver)
-    node_probs["turned_starboard"] = float(live.turned_sb)
-    node_probs["turned_port"] = float(live.turned_port)
+    for name in ("nav_maneuver", "turned_starboard", "turned_port"):
+        node_probs[name] = float(values[name])
     return IntentionPosterior(ordered), node_probs
 
 
@@ -1358,7 +690,10 @@ class _SliceState:
     sa_in: int
     pa_in: int
     meas: MeasurementVector | None = None
-    message: _SliceMessage | None = None
+    # Every slice's evidence up to this one's latest fold, which freezes
+    # with it, and the latches it carries into the next slice.
+    evidence: _Frozen | None = None
+    latches: tuple[int, int] = (nodes.FALSE, nodes.FALSE)
 
 
 class Session:
@@ -1396,13 +731,7 @@ class Session:
         self._own: list[ShipState] = []
         self._obstacles: list[list[ShipState]] = [[] for _ in obstacles]
         self._slices: list[_SliceState] = []
-        self._frozen = _Frozen(
-            held=(None,) * self.n_ships,
-            coupled=(),
-            loose=(None,) * self.n_ships,
-            v_side=np.ones(disc.ground_side.bins, dtype=bool),
-            v_front=np.ones(disc.ground_front.bins, dtype=bool),
-        )
+        self._frozen = _Frozen.empty(self.layout)
         self._step_index = -1
         self.records: list[StepRecord] = []
         self._advance(own, obstacles, added_slice=False)
@@ -1534,13 +863,14 @@ class Session:
         new_slice = added_slice or not self._slices
         if not new_slice:
             live = self._live()
+            frozen_slices = self._slices[:-1]
         else:
             sa = pa = nodes.FALSE
-            if self._slices:  # freeze the live slice into the running products
-                msg = self._live().message
-                assert msg is not None
-                frozen = frozen.add(self.layout, msg)
-                sa, pa = msg.turned_sb, msg.turned_port
+            frozen_slices = self._slices
+            if self._slices:  # freeze the live slice
+                last = self._live()
+                assert last.evidence is not None
+                frozen, (sa, pa) = last.evidence, last.latches
             live = _SliceState(
                 created_t=own.t,
                 base_courses=self._courses(own, obstacles),
@@ -1551,17 +881,20 @@ class Session:
         own_track = [*self._own, own]
         changes = course_speed_changes(own_track, self.geom)
         meas = self._assemble(own, obstacles, changes, own_track, self.geom)
-        message, node_arrays = _slice_message(
-            self.layout, meas.as_states(), live.sa_in, live.pa_in
+        observed = _observed(meas.as_states(), live.sa_in, live.pa_in)
+        evidence, values = _add_slice(self.layout, frozen, observed)
+        # Every slice's observed parents, built only if a contradiction is named.
+        history = itertools.chain(
+            (_observed(s.meas.as_states(), s.sa_in, s.pa_in) for s in frozen_slices), [observed]
         )
-        frozen = frozen.settled(self.layout, message)
-        posterior, node_probs = _posterior_bundle(self.layout, frozen, message, node_arrays)
+        posterior, node_probs = _posterior_bundle(self.layout, evidence, values, history)
 
         if new_slice:
             if self._slices:
-                self._live().message = None
+                self._live().evidence = None
             self._slices.append(live)
-        live.meas, live.message = meas, message
+        live.meas, live.evidence = meas, evidence
+        live.latches = int(values["turned_starboard"]), int(values["turned_port"])
         self._frozen = frozen
         self._own = own_track
         for track, obs in zip(self._obstacles, obstacles):
@@ -1590,8 +923,9 @@ class Session:
             h.update(f"{s.created_t},{s.sa_in},{s.pa_in}".encode())
             if s.meas is not None:
                 h.update(repr(sorted(s.meas.as_states().items())).encode())
-        for arr in self._frozen.arrays():
-            h.update(b"-" if arr is None else f"{arr.shape}".encode() + arr.tobytes())
+        frozen = self._frozen
+        for arr in (*frozen.labels, frozen.joint, frozen.v_side, frozen.v_front):
+            h.update(f"{arr.shape}".encode() + arr.tobytes())
         record = self.last_record
         for name, probs in record.posterior.marginals.items():
             h.update(name.encode())
@@ -1747,12 +1081,12 @@ def score_candidates(
     time slice observing the candidate's lookahead measurements (with the
     current turn latches carried in and the step posteriors applied as
     virtual evidence on the intention roots) finds the maneuver compatible.
-    It is contracted ship by ship on the candidate's lumped roots: one value
-    per class of values its truth tables cannot tell apart, weighted by the
-    class's summed virtual evidence (:meth:`_Layout.lumps`), which regroups
-    the same non-negative sums.  Raw scores below :data:`SCORE_FLOOR` clamp to zero; if every candidate
-    clamps, the normalized scores fall back to uniform and the result is
-    flagged ``all_incompatible``.
+    It is contracted on the candidate's lumped roots: one value per class of
+    values its truth tables cannot tell apart, weighted by the class's summed
+    virtual evidence (:func:`_lumped`), which regroups the same non-negative
+    sums.  Raw scores below :data:`SCORE_FLOOR` clamp to zero; if every
+    candidate clamps, the normalized scores fall back to uniform and the
+    result is flagged ``all_incompatible``.
     """
     candidates = list(candidates)
     if not candidates:
@@ -1761,8 +1095,7 @@ def score_candidates(
     dists = _virtual_root_dists(layout, session.last_record.posterior)
     rho_u = float(dists["unmodeled"][1])
     rho_g = float(dists["ground_intent"][1])
-    carry = session._live().message
-    latches = carry.turned_sb, carry.turned_port
+    latches = session._live().latches
 
     raw_by_states: dict[tuple[int, ...], float] = {}
     raws: list[float] = []
@@ -1772,8 +1105,7 @@ def score_candidates(
         states = meas.as_states()
         key = tuple(states.values())
         if key not in raw_by_states:
-            weight, values = _lumped(layout, dists, states, *latches)
-            z_f = _factored_z_f(layout, weight, values)
+            z_f, values = _lumped(layout, dists, _observed(states, *latches))
             z_s = float((dists["safe_ground_side"] * values["ground_safe_side"]).sum())
             z_fr = float((dists["safe_ground_front"] * values["ground_safe_front"]).sum())
             raw = sum(_branch_masses(rho_u, rho_g, z_f, z_s, z_fr))

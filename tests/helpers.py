@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from shipintent import nodes
 from shipintent.bn import random_network  # noqa: F401  (re-exported for the tests)
+from shipintent.cli import DISC3, OBSTACLES  # noqa: F401  (re-exported for the tests)
 from shipintent.dataio import math_to_compass
 from shipintent.discretize import Discretization, IntentionPriors
 from shipintent.extract import Encounter
@@ -19,20 +20,34 @@ from shipintent.geometry import ShipState, local_to_geo
 from shipintent.netbuild import measurement_variables
 from shipintent.runtime import _Layout
 
-# Three bins per threshold keep the joint small enough to check at three ships.
-DISC3 = Discretization().with_bins(3)
-# Obstacle ships for multi-ship sessions, heading west, north and east.
-OBSTACLES = (
-    ShipState(0.0, 2500.0, 120.0, 4.0, math.pi),
-    ShipState(0.0, 1500.0, -2000.0, 5.0, math.pi / 2),
-    ShipState(0.0, -1500.0, 300.0, 7.0, 0.0),
-)
-
 
 @functools.lru_cache(maxsize=None)
 def layout3(n_ships: int) -> _Layout:
     """The ``DISC3`` layout at ``n_ships`` with default priors, built once per count."""
     return _Layout(n_ships, IntentionPriors(), DISC3, None)
+
+
+def coupled_count(session) -> int:
+    """K: the slices, frozen and live, that couple the obstacle ships.
+
+    With more than one ship, a slice whose course is not held (straight and
+    speed unchanged) leaves every ``stands_on_ok_i = C or OR_{j!=i} g_j``
+    reading the other ships.
+    """
+    if session.n_ships == 1:
+        return 0
+    return sum(
+        not nodes.course_held(states["meas_course_change"], states["meas_speed_change"])
+        for states in (meas.as_states() for meas in session.slice_measurements())
+    )
+
+
+def at_values(arr: np.ndarray, labels) -> np.ndarray:
+    """An array over lumped classes, read at each value's class on every axis it spans."""
+    for j, label in enumerate(labels):
+        if arr.shape[j] > 1:
+            arr = np.take(arr, label, axis=j)
+    return arr
 
 
 def draw_slice(

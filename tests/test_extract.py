@@ -304,6 +304,22 @@ def test_dist2grd_box_follows_dist_thresh():
     assert find_dist2grd_cpa([enc], beyond, 40_000.0) == ([], [30_000.0])
 
 
+def test_dist2grd_infinite_thresh_skips_empty_sectors():
+    # With no limit, a lone vertex 30 km dead ahead still leaves both side
+    # sectors empty: they count as no clearance, not as an infinite one,
+    # and the samples still fit.
+    ref = straight_track((0.0, 0.0), EAST, 5.0, n=10)
+    obs = straight_track((0.0, 600.0), EAST, 5.0, n=10)
+    beyond = PolygonMap(rings=(np.array([(30_000.0, 0.0), (30_000.0, 0.0)]),))
+    assert find_dist2grd_cpa([encounter(ref, obs)], beyond, math.inf) == ([], [30_000.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ExtractionWarning)
+        samples = collect_samples(small_corpus(), beyond, dist_thresh=math.inf)
+        result = result_from_samples(samples)
+    assert all(math.isfinite(v) for v in result.sdgs_vals + result.sdgf_vals)
+    assert result.sample_counts["safe_ground_front"] == len(samples["safe_ground_front"])
+
+
 def test_dist2grd_front_sector_hazard():
     ref = straight_track((0.0, 0.0), EAST, 5.0, n=5, dt=10.0)
     obs = straight_track((0.0, 100.0), EAST, 5.0, n=5, dt=10.0)  # CPA at t=0, x=0

@@ -1,15 +1,14 @@
-"""Candidate scoring contracts ship by ship, and that is exact.
+"""Candidate scoring folds the lumped roots, and that is exact.
 
 ``stands_on_ok_i = C or OR_{j!=i} g_j`` is the only node that couples the
 obstacle ships (``C``: course straight and speed unchanged; ``g_j``: giving
-way to ship j).  ``g_i`` makes ship i's tail ignore ``stands_on_ok_i``, so
-every ship may read one shared switch ``C or OR_j g_j``, and scoring sums
-per-ship products in closed form instead of folding the whole joint.  A
-candidate also lumps each root's values into the classes its truth tables
-can tell apart, and folds one value per class.  These tests pin both
-assumptions in the compiled tables, the lumped fold against the full one,
-the factored weight against the full-joint contraction, and the memory that
-the factoring and the lumping save.
+way to ship j).  ``g_i`` makes ship i's tail ignore ``stands_on_ok_i``.  A
+candidate lumps each root's values into the classes its truth tables can
+tell apart, folds one value per class through every node, ``stands_on_ok_i``
+included, and contracts its constraint against each class's summed virtual
+evidence.  These tests pin the coupling structure in the compiled tables,
+the lumped fold against the full one, the candidate's weight against the
+full-joint contraction, and the memory that the lumping saves.
 """
 
 import functools
@@ -23,17 +22,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from helpers import DISC3, OBSTACLES, draw_slice, layout3
+from helpers import DISC3, OBSTACLES, at_values, draw_slice, layout3
 from shipintent.discretize import Discretization, IntentionPriors
 from shipintent.geometry import ShipState
 from shipintent.netbuild import measurement_variables
-from shipintent.nodes import SHIP_INTENTIONS, SHIP_MEASUREMENTS, model_node_specs, ship
+from shipintent.nodes import (
+    GIVES_WAY_BASES,
+    SHIP_INTENTIONS,
+    SHIP_MEASUREMENTS,
+    model_node_specs,
+    ship,
+)
 from shipintent.runtime import (
     SlicePolicy,
     _cap,
-    _factored_z_f,
+    _firsts,
     _fold,
-    _gives_way,
     _Layout,
     _lumped,
     _observed,
@@ -45,6 +49,17 @@ from shipintent.runtime import (
 from shipintent.trajgen import los_candidates
 
 EAST = 0.0
+
+
+def every_value(layout):
+    """Each root's values, all of them, per layout axis: the full fold's."""
+    return [np.arange(card) for card in layout.cards]
+
+
+def gives_way(values, i):
+    """``g_i``: ship ``i`` is giving way (:func:`~shipintent.nodes.gives_way_to`)."""
+    role, evasive, passed = (np.asarray(values[ship(b, i)]) for b in GIVES_WAY_BASES)
+    return (role == 1) & (evasive == 1) & (passed == 0)
 
 
 def owners(n_ships):
@@ -99,10 +114,8 @@ def test_stands_on_ok_table_is_course_held_or_giving_way_to_another(n_ships):
 )
 def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships, disc, n_vectors):
     # g_i forces evasive_ok_i, hence colav_ok_i, so colav_ok_i and cap_i
-    # agree at stands_on_ok_i = 0 and 1 wherever g_i holds.  That is why every
-    # ship may read the shared switch OR_j g_j, ship i's own g_i included:
-    # the step switches its exported colav_ok_i and cap_i on it, and
-    # _factored_z_f sums them in closed form.
+    # agree at stands_on_ok_i = 0 and 1 wherever g_i holds: every ship may
+    # read the one switch C or OR_j g_j, ship i's own g_i included.
     layout = _Layout(n_ships, IntentionPriors(), disc, None)
     rng = np.random.default_rng(n_ships)
     variables = measurement_variables(n_ships, disc)
@@ -110,9 +123,9 @@ def test_giving_way_makes_the_cap_ignore_stands_on_ok(n_ships, disc, n_vectors):
     for _ in range(n_vectors):
         states = {v.id: int(rng.integers(v.cardinality)) for v in variables}
         for sa, pa in itertools.product((0, 1), repeat=2):
-            values = _fold(layout, states, sa, pa)
+            values = _fold(layout, _observed(states, sa, pa), every_value(layout))
             for i in range(1, n_ships + 1):
-                g = _gives_way(layout, values, i)
+                g = gives_way(values, i)
                 caps = [_cap(_ship_tail(layout, values, i, s), i) & g for s in (0, 1)]
                 assert not np.any(caps[0] != caps[1]), (states, sa, pa, i)
                 colav = [_ship_tail(layout, values, i, s)[ship("colav_ok", i)] & g for s in (0, 1)]
@@ -130,6 +143,7 @@ def full_joint_z_f(layout, dists, states, sa, pa):
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_factored_z_f_matches_the_full_joint_contraction(n_ships, data):
+    # The candidate's z_f on its lumped roots against the full joint's.
     layout = layout3(n_ships)
     states, sa, pa = draw_slice(data, n_ships)
     # Each root's weights sum to one, as virtual evidence does in scoring:
@@ -142,10 +156,8 @@ def test_factored_z_f_matches_the_full_joint_contraction(n_ships, data):
         dists[root] = np.asarray(vec) / math.fsum(vec)
 
     want = full_joint_z_f(layout, dists, states, sa, pa)
-    got = _factored_z_f(layout, layout.factor_weight(dists), _fold(layout, states, sa, pa))
+    got, _ = _lumped(layout, dists, _observed(states, sa, pa))
     assert abs(got - want) <= 1e-12
-    lumped = _factored_z_f(layout, *_lumped(layout, dists, states, sa, pa))
-    assert abs(lumped - want) <= 1e-12
 
 
 @functools.lru_cache(maxsize=None)
@@ -154,11 +166,11 @@ def default_layout(n_ships):
 
 
 def folded_nodes(layout, values):
-    """Every node a candidate reads, by name: the shared fold, each ship's
-    tail at both values of its stands_on_ok, its g_i and its cap."""
+    """Every node a candidate reads, by name: the fold, each ship's g_i and
+    its tail at both values of its stands_on_ok."""
     out = dict(values)
     for i in range(1, layout.n_ships + 1):
-        out[ship("gives_way", i)] = _gives_way(layout, values, i)
+        out[ship("gives_way", i)] = gives_way(values, i)
         for s in (0, 1):
             tail = _ship_tail(layout, values, i, s)
             out.update((f"{node}@{s}", tail[node]) for node in tail.maps[0])
@@ -177,15 +189,17 @@ def test_lumped_fold_equals_the_full_fold_at_every_class_member(n_ships, default
     layout = default_layout(n_ships) if default_bins else layout3(n_ships)
     disc = Discretization() if default_bins else DISC3
     states, sa, pa = draw_slice(data, n_ships, disc=disc)
-    axes, labels = layout.lumps(_observed(states, sa, pa))
-    full = folded_nodes(layout, _fold(layout, states, sa, pa))
-    lumped = folded_nodes(layout, _fold(layout, states, sa, pa, axes))
+    observed = _observed(states, sa, pa)
+    labels = layout.lumps(observed)
+    reps = [_firsts(label) for label in labels]
+    full = folded_nodes(layout, _fold(layout, observed, every_value(layout)))
+    lumped = folded_nodes(layout, _fold(layout, observed, reps))
     assert full.keys() == lumped.keys()
-    for root, card in zip(layout.f_roots, layout.cards):
-        # Each class's representative is its first member.
-        first = np.unique(labels[root], return_index=True)[1]
-        assert np.array_equal(axes[root].ravel(), first), root
-        assert labels[root].shape == (card,)
+    for label, first, card in zip(labels, reps, layout.cards):
+        # The classes are numbered by their first members, which a fold takes.
+        assert label.shape == (card,)
+        assert np.array_equal(label[first], np.arange(len(first)))
+        assert np.all(np.diff(first) > 0)
     for name, want in full.items():
         got = lumped[name]
         if name in layout.f_roots:
@@ -194,8 +208,7 @@ def test_lumped_fold_equals_the_full_fold_at_every_class_member(n_ships, default
             assert np.array_equal(got, want), name
             continue
         # The lumped array at each value's class, on every axis the full one spans.
-        index = [labels[r] if n > 1 else [0] for r, n in zip(layout.f_roots, want.shape)]
-        assert np.array_equal(got[np.ix_(*index)], want), name
+        assert np.array_equal(np.broadcast_to(at_values(got, labels), want.shape), want), name
 
 
 def two_ship_fan_peaks():
@@ -227,8 +240,8 @@ def test_scoring_builds_no_full_joint_array():
 
 
 def test_lumped_scoring_builds_no_ship_local_array():
-    # One ship's local axes hold 6e5 cells at default bins (4 switch cells,
-    # 15 views, 1e4 threshold cells), so one boolean array over them would
-    # take 6e5 bytes; a lumped fan stays under it.
+    # One ship's own and the shared axes hold 6e5 cells at default bins (4
+    # switch cells, 15 views, 1e4 threshold cells), so one boolean array over
+    # them would take 6e5 bytes; a lumped fan stays under it.
     for lookahead, peak in two_ship_fan_peaks().items():
         assert peak < 600_000, (lookahead, peak)

@@ -2,12 +2,14 @@
 slice policy, and retraction."""
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from dense_oracle import session_beliefs
 
 from shipintent.bn import ContradictionError, posterior, set_evidence, set_virtual_evidence
-from shipintent.discretize import Discretization, IntentionPriors
+from shipintent.discretize import IntentionPriors, TruncNorm
 from shipintent.geometry import PolygonMap, ShipState, Waypoint
 from shipintent.netbuild import (
     apply_measurement_evidence,
@@ -25,10 +27,9 @@ from shipintent.runtime import (
     step_update,
 )
 from shipintent.trajgen import LosParams, los_candidates
-from helpers import OBSTACLES, square_ring
+from helpers import DISC3, OBSTACLES, coupled_count, square_ring
 
 EAST, NORTH, WEST = 0.0, math.pi / 2, math.pi
-DISC3 = Discretization().with_bins(3)
 
 
 def own_at(t, x=None, sog=5.0, cog=EAST):
@@ -240,8 +241,8 @@ def turning_two_ship_steps(turns, steps):
 
 
 @pytest.mark.parametrize("turns, steps, every_step", [
-    ((2, 4), 4, True),         # one coupling slice frozen: factored, then dense steps
-    ((2, 4, 6, 8), 8, False),  # three: well past the two-ship cutover
+    ((2, 4), 4, True),         # one coupling slice frozen, checked at every step
+    ((2, 4, 6, 8), 8, False),  # three frozen, checked at the last step
 ], ids=["K1", "K3"])
 def test_turning_two_ship_session_matches_network(turns, steps, every_step):
     for session in turning_two_ship_steps(turns, steps):
@@ -512,7 +513,7 @@ def slowing_two_ship_session(**kw):
     step_update(session, own0.advanced(10.0), [o.advanced(10.0) for o in far])
     step_update(session, ShipState(20.0, 100.0, 0.0, 2.0, EAST), [o.advanced(20.0) for o in far])
     assert session.slice_count == 2
-    assert session._frozen.k + session._live().message.coupled == 1
+    assert coupled_count(session) == 1
     return session, far
 
 
@@ -541,27 +542,26 @@ def slowing_session(far, coupled, **kw):
     session = init_session(own0, far, policy=SlicePolicy(max_age=15.0, min_age=5.0), **kw)
     step_update(session, own0.advanced(10.0), [o.advanced(10.0) for o in far])
     t = 20.0
-    while t == 20.0 or session._frozen.k + session._live().message.coupled < coupled:
+    while t == 20.0 or coupled_count(session) < coupled:
         own = ShipState(t, 100.0 + 2.0 * (t - 20.0), 0.0, 2.0, EAST)
         step_update(session, own, [o.advanced(t) for o in far])
         t += 20.0
-    assert session._frozen.k + session._live().message.coupled == coupled
+    assert coupled_count(session) == coupled
     return session, own
 
 
 @pytest.mark.parametrize("n_ships, coupled", [(2, 2), (3, 3)])
 def test_contradiction_over_several_coupling_slices_names_the_ship(n_ships, coupled):
-    # Two ships at K = 2 take the dense path; three at K = 3 stay factored,
-    # where the evidence mass is a sum of 64 disjoint terms that must come
-    # to exactly zero.  The last ship turns up head-on without opening a
-    # slice: the update raises, names that ship and leaves the hash.
+    # The evidence mass is a weighted sum over the lumped joint of every
+    # slice's AND, which must come to exactly zero.  The last ship turns up
+    # head-on without opening a slice: the update raises, names that ship
+    # and leaves the hash.
     far = [ShipState(0.0, 40_000.0, 10_000.0, 5.0, EAST),
            ShipState(0.0, 60_000.0, 20_000.0, 5.0, EAST),
            ShipState(0.0, -40_000.0, 12_000.0, 5.0, WEST)]
     if n_ships == 2:
         far = [far[0], far[2]]
     session, own = slowing_session(far, coupled, priors=STRICT)
-    assert (session._frozen.dense is None) == (n_ships == 3)
     before = session.state_hash()
     own = own.advanced(10.0)
     fixes = [o.advanced(own.t) for o in far[:-1]]
@@ -618,3 +618,55 @@ def test_probabilities_stay_in_the_unit_interval():
             assert all(0.0 <= v <= 1.0 for v in values)
             checked += 1
     assert checked > 600
+
+
+def test_a_class_that_weighs_nothing_gets_no_mass_and_no_nan():
+    # Certain compliance, a certain priority and a safe_cpa prior whose
+    # far bins underflow to exactly zero: whole classes of the lumped roots
+    # weigh nothing.  Their members keep a zero posterior, nothing turns
+    # NaN, and the beliefs still match the dense reference.
+    priors = IntentionPriors(
+        colregs_compliant=1.0, good_seamanship=1.0, priority=(0.0, 1.0, 0.0),
+        safe_cpa=TruncNorm(750.0, 1e-3, 0.0, 1500.0),
+    )
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = OBSTACLES[:2]
+    session = init_session(
+        own0, obstacles, priors=priors, disc=DISC3, policy=SlicePolicy(max_age=15.0, min_age=5.0)
+    )
+    zero = {
+        name: np.flatnonzero(intention_prior_vector(name, priors, DISC3, session.anchors) == 0.0)
+        for name in session.last_record.posterior.marginals
+    }
+    assert zero["safe_cpa"].size and zero["priority_1"].size and zero["colregs_compliant"].size
+    for t, course in ((10.0, EAST), (20.0, EAST - 0.35), (30.0, EAST - 0.7)):
+        record = step_update(session, own_at(t, cog=course), [o.advanced(t) for o in obstacles])
+        marginals, node_probs = session_beliefs(session)
+        for name, probs in record.posterior.marginals.items():
+            assert np.all(np.isfinite(probs)), name
+            assert not np.any(np.asarray(probs)[zero[name]]), name
+            assert np.abs(np.subtract(probs, marginals[name])).max() <= 1e-12, name
+        for name, p in record.node_probs.items():
+            assert math.isfinite(p) and abs(p - node_probs[name]) <= 1e-12, name
+
+
+def test_two_threads_scoring_one_session_get_the_serial_raws():
+    # Scoring keeps no scratch in the session or its layout, so two threads
+    # may score one session at once and get what one thread gets.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = OBSTACLES[:2]
+    session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
+    for t, course in ((10.0, EAST), (20.0, EAST - 0.35)):
+        step_update(session, own_at(t, cog=course), [o.advanced(t) for o in obstacles])
+    before = session.state_hash()
+    fan = los_candidates(session.own_state)
+    lookaheads = (30.0, 60.0, 90.0, 120.0)
+
+    def raws(lookahead):
+        return [s.raw for s in score_candidates(session, fan, lookahead=lookahead).scores]
+
+    serial = [raws(lookahead) for lookahead in lookaheads]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(raws, lookaheads * 4))
+    assert threaded == serial * 4
+    assert session.state_hash() == before

@@ -1,17 +1,15 @@
-"""A step keeps every slice as per-ship pieces and contracts them ship by ship.
+"""A step keeps the slices' evidence as one boolean array over lumped roots.
 
-``_slice_message`` evaluates each ship's coupled nodes with
-``stands_on_ok_i`` fixed to a scalar, so every piece it keeps spans the
-shared axes and one ship's own.  ``_posterior_bundle`` multiplies the
-frozen and live pieces out into disjoint product terms, ``(n + 1)**K`` of
-them for K coupling slices, and contracts each term per ship over the
-shared block; past a cutover derived from array sizes it ANDs the pieces
-into one dense joint instead.  These tests pin the pieces against the
-dense fold, the bundle against the dense oracle for every K, and the
-memory a step saves.
+``_add_slice`` refines the frozen partition of each root by the live
+slice's lumps, re-indexes the kept array along each axis whose classes
+split, folds the live slice on one value per class and ANDs its
+constraint in.  ``_posterior_bundle`` contracts that array against the
+classes' prior weights and spreads each class's mass back over its
+members.  These tests pin the fold against the dense fold, the kept array
+and the bundle against the dense oracle for every K, and the memory a step
+takes.
 """
 
-import functools
 import math
 import tracemalloc
 
@@ -21,36 +19,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from helpers import DISC3, OBSTACLES, draw_slice, layout3
+from helpers import DISC3, OBSTACLES, at_values, coupled_count, draw_slice, layout3
 from shipintent import nodes
-from shipintent.discretize import Discretization, IntentionPriors
+from shipintent.discretize import THRESHOLDS
 from shipintent.geometry import ShipState
 from shipintent.runtime import (
     SlicePolicy,
-    _dense,
+    _add_slice,
     _Frozen,
-    _Layout,
+    _observed,
     _posterior_bundle,
-    _slice_message,
+    _refine,
     init_session,
     step_update,
 )
 
 EAST = 0.0
 TOL = 1e-12
+# One boolean array over the default-bins joint: 4 switch cells, 15 views
+# per ship and 1e4 threshold cells.
+TWO_SHIP_JOINT = 9_000_000
+THREE_SHIP_JOINT = 135_000_000
 
 
-def dense_node(layout, message, arr):
-    """An exported node over the whole joint; a coupling slice's colav_ok switches on G."""
-    if isinstance(arr, tuple):
-        g = functools.reduce(np.logical_or, (pieces[2] for pieces in message.caps))
-        arr = np.where(g, arr[1], arr[0])
-    return np.broadcast_to(arr, layout.cards)
-
-
-def coupled_count(session):
-    """K: the coupling slices among the frozen and the live one."""
-    return session._frozen.k + session._live().message.coupled
+def over_values(layout, arr, labels):
+    """An array over lumped classes as the same array over every root value."""
+    return np.broadcast_to(at_values(arr, labels), layout.cards)
 
 
 def assert_bundle_matches(got, want):
@@ -70,93 +64,87 @@ def assert_bundle_matches(got, want):
 def test_slice_message_matches_the_dense_fold(n_ships, data):
     layout = layout3(n_ships)
     states, sa, pa = draw_slice(data, n_ships)
-    message, arrays = _slice_message(layout, states, sa, pa)
+    evidence, values = _add_slice(layout, _Frozen.empty(layout), _observed(states, sa, pa))
     want = dense_oracle.fold(layout, states, sa, pa)
 
-    assert np.array_equal(_dense(layout, message.caps), want["f_side"])
-    assert list(arrays) == list(want["node_arrays"])
+    labels = evidence.labels
+    assert np.array_equal(over_values(layout, evidence.joint, labels), want["f_side"])
     for name, arr in want["node_arrays"].items():
-        got = dense_node(layout, message, arrays[name])
+        got = over_values(layout, values[name], labels)
         assert np.array_equal(got, np.broadcast_to(arr, layout.cards)), name
-    assert np.array_equal(message.v_side, want["v_side"])
-    assert np.array_equal(message.v_front, want["v_front"])
-    assert (message.nav_maneuver, message.turned_sb, message.turned_port) == (
+    assert np.array_equal(evidence.v_side, want["v_side"])
+    assert np.array_equal(evidence.v_front, want["v_front"])
+    assert (values["nav_maneuver"], values["turned_starboard"], values["turned_port"]) == (
         want["nav_maneuver"],
         want["turned_sb"],
         want["turned_port"],
     )
-    # Every piece and exported node stays on the shared axes and one ship's own.
-    for i, own in enumerate(layout.ship_axes, start=1):
-        others = [j for axes in layout.ship_axes if axes != own for j in axes]
-        pieces = [*message.caps[i - 1]]
-        for name, arr in arrays.items():
-            if name.endswith(f"_{i}"):
-                pieces += arr if isinstance(arr, tuple) else [arr]
-        for piece in pieces:
-            assert all(piece.shape[j] == 1 for j in others)
+    # A slice observes every measurement, so a threshold is read only
+    # through n comparisons and splits into at most n + 1 classes.
+    for root, label in zip(layout.f_roots, labels):
+        if root in THRESHOLDS:
+            assert label.max() + 1 <= n_ships + 1, root
 
 
 def test_course_held_message_builds_one_full_joint_array():
-    # Default bins, two ships, course held: every stands_on_ok_i is C, so
-    # each ship keeps one piece on the shared axes and its own, and the
-    # message stays well under two boolean arrays over the 9e6-cell joint.
+    # Default bins, two ships, course held: the slice's fold and its
+    # constraint span its lumped roots, 1e4-1e5 cells, far under one boolean
+    # array over the 9e6-cell joint.
     own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     session = init_session(own0, OBSTACLES[:2])
     layout = session.layout
-    cells = math.prod(layout.cards)
-    assert cells == 9_000_000
+    assert math.prod(layout.cards) == TWO_SHIP_JOINT
     states = session.last_record.measurements.as_states()
     states.update(meas_course_change=nodes.STRAIGHT, meas_speed_change=nodes.NONE)
     tracemalloc.start()
     try:
-        message, _ = _slice_message(layout, states, 0, 0)
+        evidence, _ = _add_slice(layout, _Frozen.empty(layout), _observed(states, 0, 0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert not message.coupled
-    assert _dense(layout, message.caps).any()
-    assert peak < 2 * cells, peak
+    assert evidence.joint.any()
+    assert peak < TWO_SHIP_JOINT // 10, peak
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_one_pass_bundle_matches_the_separate_contractions(data):
-    # Random frozen per-ship pieces F_i: the bundle takes every sum from
-    # per-ship passes, the dense oracle each marginal and node weight from a
-    # reduction of its own over the weighted joint.
+    # A random frozen partition and a random kept array over it: the live
+    # slice re-indexes the array onto the common refinement, and the bundle
+    # takes every sum from one weighted array, the dense oracle each marginal
+    # and node weight from a reduction of its own over the weighted joint.
     n_ships = data.draw(st.integers(1, 3), label="n_ships")
     layout = layout3(n_ships)
     states, sa, pa = draw_slice(data, n_ships)
     seed = data.draw(st.integers(0, 2**32 - 1), label="frozen_seed")
     density = data.draw(st.sampled_from([0.05, 0.5, 0.95, 1.0]), label="frozen_density")
     rng = np.random.default_rng(seed)
-    held = []
-    for own in layout.ship_axes:
-        others = {j for axes in layout.ship_axes if axes != own for j in axes}
-        shape = [1 if j in others else card for j, card in enumerate(layout.cards)]
-        held.append(rng.random(shape) < density)
+    labels = tuple(
+        _refine(np.zeros(card, dtype=np.intp), rng.integers(0, card, card))
+        for card in layout.cards
+    )
     frozen = _Frozen(
-        tuple(held),
-        (),
-        tuple(held),
+        labels,
+        rng.random([label.max() + 1 for label in labels]) < density,
         rng.random(DISC3.ground_side.bins) < 0.7,
         rng.random(DISC3.ground_front.bins) < 0.7,
     )
-    message, arrays = _slice_message(layout, states, sa, pa)
-    frozen_f = np.ones(layout.cards, dtype=bool)
-    for f in held:
-        frozen_f &= f
+    observed = _observed(states, sa, pa)
+    evidence, values = _add_slice(layout, frozen, observed)
+    frozen_f = over_values(layout, frozen.joint, labels)
+    live = dense_oracle.fold(layout, states, sa, pa)
+    both = over_values(layout, evidence.joint, evidence.labels)
+    assert np.array_equal(both, frozen_f & live["f_side"])
 
-    got = _posterior_bundle(layout, frozen, message, arrays)
-    want = dense_oracle.bundle(
-        layout, frozen_f, frozen.v_side, frozen.v_front, dense_oracle.fold(layout, states, sa, pa)
-    )
+    got = _posterior_bundle(layout, evidence, values, [observed])
+    want = dense_oracle.bundle(layout, frozen_f, frozen.v_side, frozen.v_front, live)
     assert_bundle_matches(got, want)
 
 
 def test_step_bundle_builds_no_full_joint_array():
-    # Default bins, two ships, one frozen slice: the joint has 9e6 cells, so
-    # one boolean array over it alone would take 9e6 bytes.
+    # Default bins, two ships, one frozen slice: the bundle's one float64
+    # array over the lumped joint stays far under one boolean array over the
+    # 9e6-cell joint.
     own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     obstacles = OBSTACLES[:2]
     session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
@@ -165,23 +153,20 @@ def test_step_bundle_builds_no_full_joint_array():
         step_update(session, own, [o.advanced(t) for o in obstacles])
     assert session.slice_count == 2
     layout = session.layout
-    cells = math.prod(layout.cards)
-    assert cells == 9_000_000
-    live = session._live()
-    message, arrays = _slice_message(layout, live.meas.as_states(), live.sa_in, live.pa_in)
+    assert math.prod(layout.cards) == TWO_SHIP_JOINT
+    (sa, pa), live = session.slice_carries()[-1], session.slice_measurements()[-1]
+    observed = _observed(live.as_states(), sa, pa)
     frozen = session._frozen
-    pieces = [f for f in frozen.held if f is not None]
-    pieces += [p for caps in frozen.coupled for ship_pieces in caps for p in ship_pieces]
-    assert frozen.dense is None
-    assert not all(p.all() for p in pieces)
+    assert not frozen.joint.all()
+    evidence, values = _add_slice(layout, frozen, observed)
     tracemalloc.start()
     try:
-        _, node_probs = _posterior_bundle(layout, frozen, message, arrays)
+        _, node_probs = _posterior_bundle(layout, evidence, values, [observed])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert node_probs == session.last_record.node_probs
-    assert peak < cells, peak
+    assert peak < TWO_SHIP_JOINT // 10, peak
 
 
 CASES = [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)]
@@ -193,56 +178,39 @@ CASES = [(1, 0), (2, 0), (2, 1), (2, 2), (2, 3), (3, 0), (3, 1), (3, 2), (3, 3)]
 def test_bundle_with_k_coupling_slices_matches_the_dense_oracle(n_ships, k, data):
     # K slices whose course is not held (they couple the ships) and up to two
     # held ones, in a drawn order, each with random latch carries; the last
-    # is live.  With DISC3, two ships take the dense path from K = 2 on.
+    # is live.  Each frozen slice refines the kept partition.
     layout = layout3(n_ships)
     n_held = data.draw(st.integers(0 if k else 1, 2), label="held_slices")
     kinds = data.draw(st.permutations([False] * k + [True] * n_held), label="order")
-    folds, messages = [], []
+    history, folds = [], []
     for held in kinds:
         states, sa, pa = draw_slice(data, n_ships, held=held)
+        history.append(_observed(states, sa, pa))
         folds.append(dense_oracle.fold(layout, states, sa, pa))
-        messages.append(_slice_message(layout, states, sa, pa))
-    frozen = _Frozen(
-        (None,) * n_ships,
-        (),
-        (None,) * n_ships,
-        np.ones(DISC3.ground_side.bins, dtype=bool),
-        np.ones(DISC3.ground_front.bins, dtype=bool),
-    )
+    frozen = _Frozen.empty(layout)
     frozen_f = np.ones(layout.cards, dtype=bool)
-    for (message, _), fold in zip(messages[:-1], folds[:-1]):
-        frozen = frozen.add(layout, message)
+    for observed, fold in zip(history[:-1], folds[:-1]):
+        frozen, _ = _add_slice(layout, frozen, observed)
         frozen_f = frozen_f & fold["f_side"]
-    live, arrays = messages[-1]
-    assert frozen.k + live.coupled == k
-    assert layout.factored(k) == (n_ships == 3 or k < 2)
+        assert np.array_equal(over_values(layout, frozen.joint, frozen.labels), frozen_f)
+    evidence, values = _add_slice(layout, frozen, history[-1])
+    assert sum(not held for held in kinds) == k
 
-    got = _posterior_bundle(layout, frozen.settled(layout, live), live, arrays)
+    got = _posterior_bundle(layout, evidence, values, history)
     want = dense_oracle.bundle(layout, frozen_f, frozen.v_side, frozen.v_front, folds[-1])
     assert_bundle_matches(got, want)
-
-
-def test_cutover_follows_the_array_sizes():
-    # (n + 1)**K terms of n ship-local arrays against one joint: two ships
-    # at default bins turn dense at K = 2, three at K = 4.
-    for n_ships, first_dense in ((2, 2), (3, 4)):
-        layout = _Layout(n_ships, IntentionPriors(), Discretization(), None)
-        want = [True] * first_dense + [False]
-        assert [layout.factored(k) for k in range(first_dense + 1)] == want
-    # One ship never couples, and its single term reads the joint once.
-    assert _Layout(1, IntentionPriors(), Discretization(), None).factored(0)
 
 
 def test_two_ship_step_stays_under_one_boolean_joint():
     # Default bins, two ships: the joint has 9e6 cells, so one boolean array
     # over it alone would take 9e6 bytes.  A whole step, measurement, fold
-    # and bundle, peaks below that with the course held (K = 0) and after a
-    # turn that opens a coupling slice over a frozen held one (K = 1).
+    # and bundle, peaks under a tenth of that with the course held
+    # (K = 0) and after a turn that opens a coupling slice over a frozen
+    # held one (K = 1).
     own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
     obstacles = OBSTACLES[:2]
     session = init_session(own0, obstacles, policy=SlicePolicy(max_age=15.0, min_age=5.0))
-    cells = math.prod(session.layout.cards)
-    assert cells == 9_000_000
+    assert math.prod(session.layout.cards) == TWO_SHIP_JOINT
     seen = []
     for t, course in ((10.0, EAST), (20.0, EAST - 0.35), (30.0, EAST - 0.35)):
         own = ShipState(t, 5.0 * t, 0.0, 5.0, course)
@@ -252,6 +220,32 @@ def test_two_ship_step_stays_under_one_boolean_joint():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < cells, (t, peak)
+        assert peak < TWO_SHIP_JOINT // 10, (t, peak)
         seen.append(coupled_count(session))
     assert seen == [0, 1, 1]
+
+
+def test_three_ship_step_past_four_coupling_slices_stays_under_one_boolean_joint():
+    # Default bins, three ships: one boolean array over the 1.35e8-cell
+    # joint would take 1.35e8 bytes.  The own ship turns 8 degrees more every
+    # 10 s, so each step opens a slice that couples the ships; the steps at
+    # K = 4 and 5 peak under that one array, their lumped joints 5e6-7e6
+    # cells.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    obstacles = OBSTACLES
+    session = init_session(own0, obstacles, policy=SlicePolicy(max_age=60.0, min_age=5.0))
+    assert math.prod(session.layout.cards) == THREE_SHIP_JOINT
+    for k in range(1, 6):
+        t = 10.0 * k
+        own = ShipState(t, 5.0 * t, -0.5 * k * k, 5.0, EAST - math.radians(8.0 * k))
+        traced = k >= 4
+        if traced:
+            tracemalloc.start()
+        try:
+            step_update(session, own, [o.advanced(t) for o in obstacles])
+            peak = tracemalloc.get_traced_memory()[1] if traced else 0
+        finally:
+            if traced:
+                tracemalloc.stop()
+        assert coupled_count(session) == k
+        assert peak < THREE_SHIP_JOINT, (k, peak)
