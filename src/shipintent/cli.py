@@ -232,6 +232,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
     waypoint = _parse_waypoint(args.waypoint, enc.origin)
 
     pairs = enc.pairs
+    if not math.isfinite(args.at):
+        raise DataError(f"--at {args.at:g} is not a finite number of seconds")
     if args.at < 0.0:
         raise DataError(f"--at {args.at:g} is before the first sample")
     cutoff = pairs[0][0].t + args.at

@@ -57,7 +57,8 @@ priority, situation-view and compliance roots never merged.
 A step's partition of each root is the common refinement of every slice's
 classes, frozen and live (:func:`_refine`).  The session keeps the frozen
 slices' evidence as one boolean array over their partition
-(:class:`_Frozen`).  When the live slice splits a class, the kept array is
+(:class:`_Frozen`), and every slice's as of the last step, which a new
+slice starts from.  When the live slice splits a class, the kept array is
 re-indexed along that axis with ``np.take``, which is exact because each
 new class lies inside one old class.  The live slice is folded through
 every node on one value per class, ``stands_on_ok_i = C or OR_{j!=i} g_j``
@@ -175,9 +176,10 @@ class SlicePolicy:
     speed_delta: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_age <= 0.0 or self.min_age < 0.0:
+        # Each check passes only in range, so NaN and infinity fail it.
+        if not (0.0 < self.max_age < math.inf and 0.0 <= self.min_age < math.inf):
             raise ValueError("slice ages must be positive")
-        if self.course_delta <= 0.0 or self.speed_delta <= 0.0:
+        if not (0.0 < self.course_delta < math.inf and 0.0 < self.speed_delta < math.inf):
             raise ValueError("change thresholds must be positive")
 
 
@@ -282,6 +284,10 @@ class _Layout:
         self.readers = {
             r: tuple(spec for spec in self.specs if r in spec.parents) for r in self.f_roots
         }
+        # The live fold's nodes a step reads: the exported ones, the
+        # grounding indicators, and the rest read off as they are.
+        self.exported = tuple(ship(b, i) for i in range(1, n_ships + 1) for b in _EXPORT_BASES)
+        self.live_reads = (*self.exported, "ground_safe_side", "ground_safe_front", *_READ_OFF)
 
     def lumps(self, observed: Mapping[str, int]) -> tuple[np.ndarray, ...]:
         """Each root's values lumped into the classes one slice cannot tell apart.
@@ -308,11 +314,15 @@ class _Layout:
                     tuple(observed.get(p, slice(None)) for p in spec.parents)
                 ]
                 rows.append(table.swapaxes(0, free.index(root)).reshape(card, -1))
-            classes: dict[bytes, int] = {}
             keys = np.concatenate(rows, axis=1)
-            label = [classes.setdefault(key.tobytes(), len(classes)) for key in keys]
-            labels.append(np.array(label, dtype=np.intp))
+            labels.append(_number(key.tobytes() for key in keys))
         return tuple(labels)
+
+
+def _number(keys: Iterable) -> np.ndarray:
+    """Each key's class, equal keys sharing one, numbered in order of first occurrence."""
+    classes: dict = {}
+    return np.array([classes.setdefault(key, len(classes)) for key in keys], dtype=np.intp)
 
 
 def _refine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,8 +332,7 @@ def _refine(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     numbered in the order of their first members, as :meth:`_Layout.lumps`
     numbers them, so refining by a coarser labelling changes nothing.
     """
-    _, first, inverse = np.unique(a * len(b) + b, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse]
+    return _number(zip(a.tolist(), b.tolist()))
 
 
 def _firsts(labels: np.ndarray) -> np.ndarray:
@@ -386,6 +395,7 @@ class _Frozen:
 
 _SKIP_NODES = {"ground_safe", "compatible"}
 _EXPORT_BASES = ("colav_ok", "nav_maneuver_ok", "evasive_ok")
+_READ_OFF = ("nav_maneuver", "turned_starboard", "turned_port")
 
 
 def _reading(
@@ -619,14 +629,14 @@ def _posterior_bundle(
     """Exact posteriors and live-node probabilities of one step.
 
     ``evidence`` holds every slice, the live one included, and ``values``
-    is the live slice's fold on the same partition (:func:`_add_slice`).
-    ``history`` is read only to name a contradiction (:func:`_blame`).
+    is the live slice's fold on the same partition (:func:`_add_slice`),
+    read only at ``layout.live_reads``.  ``history`` is read only to name a
+    contradiction (:func:`_blame`).
     """
     weights = _weights(layout, evidence.labels, layout.prior_vec)
-    exported = [ship(base, i) for i in range(1, layout.n_ships + 1) for base in _EXPORT_BASES]
     # The exported nodes' prior weights first: each converts its node to
     # float64 for a moment, and no such copy then meets the weighted joint.
-    e_prior = {name: _weigh(values[name], weights) for name in exported}
+    e_prior = {name: _weigh(values[name], weights) for name in layout.exported}
     weighted = _weighted(evidence.joint, weights)
     z_f = float(weighted.sum())
 
@@ -665,14 +675,14 @@ def _posterior_bundle(
 
     node_probs: dict[str, float] = {}
     post_weight = a_g + a_s
-    for name in exported:
+    for name in layout.exported:
         e_post = _within(weighted, values[name]) / z_f if z_f > 0.0 else 0.0
         node_probs[name] = _unit((a_u * e_prior[name] + post_weight * e_post) / total)
     s_live = float((pi_s * values["ground_safe_side"]).sum())
     f_live = float((pi_f * values["ground_safe_front"]).sum())
     node_probs["ground_safe_side"] = _unit(((a_u + a_g) * s_live + a_s) / total)
     node_probs["ground_safe_front"] = _unit(((a_u + a_g) * f_live + a_s) / total)
-    for name in ("nav_maneuver", "turned_starboard", "turned_port"):
+    for name in _READ_OFF:
         node_probs[name] = float(values[name])
     return IntentionPosterior(ordered), node_probs
 
@@ -685,15 +695,11 @@ def _posterior_bundle(
 @dataclass
 class _SliceState:
     created_t: float
-    base_courses: tuple[float, ...]
-    base_sogs: tuple[float, ...]
+    # The own ship's and every obstacle's state when the slice opened.
+    base: tuple[ShipState, ...]
     sa_in: int
     pa_in: int
     meas: MeasurementVector | None = None
-    # Every slice's evidence up to this one's latest fold, which freezes
-    # with it, and the latches it carries into the next slice.
-    evidence: _Frozen | None = None
-    latches: tuple[int, int] = (nodes.FALSE, nodes.FALSE)
 
 
 class Session:
@@ -715,8 +721,8 @@ class Session:
         if not obstacles:
             raise ValueError("a session needs at least one obstacle ship")
         _check_states(own, obstacles)
-        if lookahead < 0.0:
-            raise ValueError("lookahead must be non-negative")
+        if not 0.0 <= lookahead < math.inf:
+            raise ValueError("lookahead must be finite and non-negative")
         self.priors = priors
         self.disc = disc
         self.geom = geom
@@ -731,18 +737,12 @@ class Session:
         self._own: list[ShipState] = []
         self._obstacles: list[list[ShipState]] = [[] for _ in obstacles]
         self._slices: list[_SliceState] = []
-        self._frozen = _Frozen.empty(self.layout)
-        self._step_index = -1
+        # The frozen slices' evidence, every slice's as of the last step,
+        # and the latches the live slice carries out.
+        self._frozen = self._evidence = _Frozen.empty(self.layout)
+        self._latches = (nodes.FALSE, nodes.FALSE)
         self.records: list[StepRecord] = []
         self._advance(own, obstacles, added_slice=False)
-
-    @staticmethod
-    def _courses(own: ShipState, obstacles: Sequence[ShipState]) -> tuple[float, ...]:
-        return (own.cog,) + tuple(o.cog for o in obstacles)
-
-    @staticmethod
-    def _sogs(own: ShipState, obstacles: Sequence[ShipState]) -> tuple[float, ...]:
-        return (own.sog,) + tuple(o.sog for o in obstacles)
 
     # -- read-only views ---------------------------------------------------
 
@@ -847,9 +847,6 @@ class Session:
 
     # -- slice lifecycle and posteriors --------------------------------------
 
-    def _live(self) -> _SliceState:
-        return self._slices[-1]
-
     def _advance(
         self, own: ShipState, obstacles: Sequence[ShipState], added_slice: bool
     ) -> StepRecord:
@@ -859,30 +856,21 @@ class Session:
         the posterior bundle) runs before the first write to the session, so
         a rejected update leaves it exactly as it was.
         """
-        frozen = self._frozen
         new_slice = added_slice or not self._slices
-        if not new_slice:
-            live = self._live()
-            frozen_slices = self._slices[:-1]
+        if new_slice:  # the live slice, if any, freezes
+            frozen, frozen_slices = self._evidence, self._slices
+            live = _SliceState(own.t, (own, *obstacles), *self._latches)
         else:
-            sa = pa = nodes.FALSE
-            frozen_slices = self._slices
-            if self._slices:  # freeze the live slice
-                last = self._live()
-                assert last.evidence is not None
-                frozen, (sa, pa) = last.evidence, last.latches
-            live = _SliceState(
-                created_t=own.t,
-                base_courses=self._courses(own, obstacles),
-                base_sogs=self._sogs(own, obstacles),
-                sa_in=sa,
-                pa_in=pa,
-            )
+            frozen, frozen_slices = self._frozen, self._slices[:-1]
+            live = self._slices[-1]
         own_track = [*self._own, own]
         changes = course_speed_changes(own_track, self.geom)
         meas = self._assemble(own, obstacles, changes, own_track, self.geom)
         observed = _observed(meas.as_states(), live.sa_in, live.pa_in)
         evidence, values = _add_slice(self.layout, frozen, observed)
+        # Only the nodes the bundle and the latches read stay alive while the
+        # bundle builds its float64 joint.
+        values = {name: values[name] for name in self.layout.live_reads}
         # Every slice's observed parents, built only if a contradiction is named.
         history = itertools.chain(
             (_observed(s.meas.as_states(), s.sa_in, s.pa_in) for s in frozen_slices), [observed]
@@ -890,19 +878,16 @@ class Session:
         posterior, node_probs = _posterior_bundle(self.layout, evidence, values, history)
 
         if new_slice:
-            if self._slices:
-                self._live().evidence = None
             self._slices.append(live)
-        live.meas, live.evidence = meas, evidence
-        live.latches = int(values["turned_starboard"]), int(values["turned_port"])
-        self._frozen = frozen
+        live.meas = meas
+        self._frozen, self._evidence = frozen, evidence
+        self._latches = int(values["turned_starboard"]), int(values["turned_port"])
         self._own = own_track
         for track, obs in zip(self._obstacles, obstacles):
             track.append(obs)
-        self._step_index += 1
         record = StepRecord(
             t=own.t,
-            step_index=self._step_index,
+            step_index=len(self.records),
             slice_index=len(self._slices) - 1,
             added_slice=added_slice,
             measurements=meas,
@@ -915,7 +900,7 @@ class Session:
     def state_hash(self) -> str:
         """Digest of the full belief state; scoring must leave it unchanged."""
         h = hashlib.sha256()
-        h.update(f"{self.n_ships},{self.disc.cpa.bins},{self._step_index}".encode())
+        h.update(f"{self.n_ships},{self.disc.cpa.bins},{len(self.records) - 1}".encode())
         for track in [self._own, *self._obstacles]:
             arr = np.array([(s.t, s.x, s.y, s.sog, s.cog) for s in track], dtype=np.float64)
             h.update(arr.tobytes())
@@ -975,19 +960,17 @@ def init_session(
 
 def should_add_slice(session: Session, own: ShipState, obstacles: Sequence[ShipState]) -> bool:
     """Apply the slice policy to the incoming states."""
-    live = session._live()
+    live = session._slices[-1]
     age = own.t - live.created_t
     policy = session.policy
     if age > policy.max_age:
         return True
     if age < policy.min_age:
         return False
-    courses = Session._courses(own, obstacles)
-    sogs = Session._sogs(own, obstacles)
-    for base_c, base_s, cog, sog in zip(live.base_courses, live.base_sogs, courses, sogs):
-        if abs(angle_diff(cog, base_c)) > policy.course_delta:
+    for base, state in zip(live.base, (own, *obstacles)):
+        if abs(angle_diff(state.cog, base.cog)) > policy.course_delta:
             return True
-        if abs(sog - base_s) > policy.speed_delta:
+        if abs(state.sog - base.sog) > policy.speed_delta:
             return True
     return False
 
@@ -1030,8 +1013,8 @@ def measure_candidate(
     the candidate's state now.
     """
     horizon = session.lookahead if lookahead is None else lookahead
-    if horizon < 0.0:
-        raise ValueError("lookahead must be non-negative")
+    if not 0.0 <= horizon < math.inf:
+        raise ValueError("lookahead must be finite and non-negative")
     t_now = session.now
     t_la = t_now + horizon
     cand_now = candidate.state_at(t_now)
@@ -1095,7 +1078,7 @@ def score_candidates(
     dists = _virtual_root_dists(layout, session.last_record.posterior)
     rho_u = float(dists["unmodeled"][1])
     rho_g = float(dists["ground_intent"][1])
-    latches = session._live().latches
+    latches = session._latches
 
     raw_by_states: dict[tuple[int, ...], float] = {}
     raws: list[float] = []

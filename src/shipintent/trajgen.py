@@ -45,13 +45,14 @@ class LosParams:
         object.__setattr__(self, "offsets", tuple(float(o) for o in self.offsets))
         if not self.offsets:
             raise ValueError("need at least one course offset")
-        if any(abs(o) > math.pi for o in self.offsets):
+        # Each check passes only in range, so NaN and infinity fail it.
+        if not all(abs(o) <= math.pi for o in self.offsets):
             raise ValueError("course offsets must lie within [-pi, pi]")
-        if self.turn_rate <= 0.0:
+        if not 0.0 < self.turn_rate < math.inf:
             raise ValueError("turn_rate must be positive")
-        if self.dt <= 0.0 or self.horizon < self.dt:
+        if not (0.0 < self.dt < math.inf and self.dt <= self.horizon < math.inf):
             raise ValueError("need dt > 0 and horizon >= dt")
-        if self.pursuit_lookahead <= 0.0:
+        if not 0.0 < self.pursuit_lookahead < math.inf:
             raise ValueError("pursuit_lookahead must be positive")
 
 

@@ -5,11 +5,11 @@ The joint over the collision-avoidance roots is materialised as a float64
 arrays over it, and every marginal, node expectation and candidate score is
 one full reduction.  That is slow and needs ~10x the memory of the runtime
 kernel, but it is the plain reading of the model, so the tests compare the
-runtime's chunked contractions against it.
+runtime's fold on lumped roots against it.
 
 The reference rebuilds a session's belief from its public slice history
 (measurements and latch carries per slice), so it shares nothing with the
-session's cached messages.
+evidence the session keeps on its lumped partition.
 """
 
 from __future__ import annotations

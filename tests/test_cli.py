@@ -164,6 +164,13 @@ def test_negative_at_exits_1(cli_dir, capsys):
     assert "before the first sample" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("at", ["nan", "inf"])
+def test_non_finite_at_exits_1(cli_dir, capsys, at):
+    rc = main(["score", str(cli_dir / "run.csv"), str(cli_dir / "config.json"), "--at", at])
+    assert rc == 1
+    assert "not a finite number of seconds" in capsys.readouterr().err
+
+
 def test_encounter_selection_errors(cli_dir, capsys):
     args = ["score", str(cli_dir / "pair.csv"), str(cli_dir / "config.json"), "--at", "10"]
     assert main(args) == 1

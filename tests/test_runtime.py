@@ -67,6 +67,17 @@ def test_session_requires_obstacles_and_synchronized_clocks():
         init_session(own, [ShipState(0.0, 500.0, 0.0, 5.0, WEST)], lookahead=-1.0)
 
 
+@pytest.mark.parametrize("lookahead", [math.nan, math.inf], ids=["nan", "inf"])
+def test_non_finite_lookahead_is_rejected(lookahead):
+    # A NaN lookahead fails deep inside the candidate track; an infinite one
+    # extrapolates the obstacles to infinity.
+    with pytest.raises(ValueError, match="lookahead"):
+        benign_session(lookahead=lookahead)
+    session = benign_session()
+    with pytest.raises(ValueError, match="lookahead"):
+        score_candidates(session, los_candidates(session.own_state), lookahead=lookahead)
+
+
 def test_step_update_validation():
     session = benign_session()
     with pytest.raises(ValueError):
@@ -130,6 +141,29 @@ def test_slice_policy_validation():
         SlicePolicy(max_age=0.0)
     with pytest.raises(ValueError):
         SlicePolicy(course_delta=0.0)
+
+
+NUMERIC_FIELDS = [
+    (SlicePolicy, "max_age"),
+    (SlicePolicy, "min_age"),
+    (SlicePolicy, "course_delta"),
+    (SlicePolicy, "speed_delta"),
+    (LosParams, "offsets"),
+    (LosParams, "turn_rate"),
+    (LosParams, "horizon"),
+    (LosParams, "dt"),
+    (LosParams, "pursuit_lookahead"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "cls, field", NUMERIC_FIELDS, ids=[f"{cls.__name__}.{field}" for cls, field in NUMERIC_FIELDS]
+)
+def test_policy_and_fan_parameters_reject_non_finite_values(cls, field, value):
+    # Library callers reach these without the config file's finiteness check.
+    with pytest.raises(ValueError):
+        cls(**{field: (value,) if field == "offsets" else value})
 
 
 def test_slice_policy_decisions():

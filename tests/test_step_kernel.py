@@ -249,3 +249,36 @@ def test_three_ship_step_past_four_coupling_slices_stays_under_one_boolean_joint
                 tracemalloc.stop()
         assert coupled_count(session) == k
         assert peak < THREE_SHIP_JOINT, (k, peak)
+
+
+def lumped_cells(session) -> int:
+    """Cells of the step's lumped joint, refined from the public slice history."""
+    layout = session.layout
+    labels = [np.zeros(card, dtype=np.intp) for card in layout.cards]
+    for meas, (sa, pa) in zip(session.slice_measurements(), session.slice_carries()):
+        labels = list(map(_refine, labels, layout.lumps(_observed(meas.as_states(), sa, pa))))
+    return math.prod(int(label.max()) + 1 for label in labels)
+
+
+def test_three_ship_step_drops_the_unread_fold_before_the_bundle():
+    # Default bins, three ships, the own ship turning 8 degrees more every
+    # 10 s.  Past K = 2 a step peaks in the bundle: its float64 joint takes
+    # 8 bytes a lumped cell, the kept boolean joints and the exported nodes
+    # about 5 more.  The live fold's other nodes (gives_way_ok_i,
+    # stands_on_ok_i) would add over one more byte a cell; they are dropped
+    # before the bundle, so the peak stays under 13.8.
+    own0 = ShipState(0.0, 0.0, 0.0, 5.0, EAST)
+    session = init_session(own0, OBSTACLES, policy=SlicePolicy(max_age=60.0, min_age=5.0))
+    for k in range(1, 6):
+        t = 10.0 * k
+        own = ShipState(t, 5.0 * t, -0.5 * k * k, 5.0, EAST - math.radians(8.0 * k))
+        tracemalloc.start()
+        try:
+            step_update(session, own, [o.advanced(t) for o in OBSTACLES])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert coupled_count(session) == k
+        if k >= 3:
+            cells = lumped_cells(session)
+            assert peak < 13.8 * cells, (k, cells, peak / cells)
