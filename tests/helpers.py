@@ -5,6 +5,9 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +22,21 @@ from shipintent.extract import Encounter
 from shipintent.geometry import ShipState, local_to_geo
 from shipintent.netbuild import measurement_variables
 from shipintent.runtime import _Layout
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with ``args``, importing this checkout's ``src``."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
 
 
 @functools.lru_cache(maxsize=None)

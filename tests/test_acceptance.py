@@ -6,17 +6,19 @@ the predicate registry, belief decay on hazard approaches, candidate
 ranking in scripted encounters, closest-approach search against a
 golden-section oracle, prior recovery from planted corpora, bin masses
 against adaptive quadrature, latency budgets at one and two obstacle
-ships and for grounding on a large coast, and scoring side-effect
-freedom.  Fixtures are frozen; every tolerance is stated inline.
+ships and for grounding on a large coast, the memory floor of importing
+the CLI, and scoring side-effect freedom.  Fixtures are frozen; every
+tolerance is stated inline.
 """
 
 import math
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
-from helpers import random_network
+from helpers import random_network, run_python
 from scipy import integrate
 from scipy.stats import norm
 
@@ -436,6 +438,23 @@ def test_grounding_on_a_warm_coast_index_meets_latency_budget():
         grounding_measurements(pose, hazard, reach=reach)
         times.append(time.perf_counter() - start)
     assert float(np.median(times)) < 2e-3
+
+
+def test_importing_the_cli_stays_under_64_mb():
+    # The resident high-water mark of a fresh interpreter right after
+    # `import shipintent.cli` must stay under 64 MB (numpy alone is most of
+    # it).  Linux keeps the larger of a process's own peak and the peak of
+    # the image it replaced at exec, so the measured interpreter is started
+    # from a bare launcher, not from this test process.
+    measure = (
+        "import resource, shipintent.cli; "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    done = run_python("-c", launch, sys.executable, "-c", measure)
+    assert done.returncode == 0, done.stderr
+    peak_mb = int(done.stdout) / 1024.0  # ru_maxrss is in KiB on Linux
+    assert peak_mb < 64.0, peak_mb
 
 
 def test_candidate_scoring_leaves_session_state_untouched():

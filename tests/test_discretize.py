@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from shipintent.discretize import (
     Channel,
@@ -84,6 +85,67 @@ def test_degenerate_window_is_an_error():
         discretize_truncnorm(0.0, -1.0, 0.0, 10.0, 4)
     with pytest.raises(DiscretizationError):
         discretize_truncnorm(0.0, 1.0, 0.0, 10.0, 0)
+
+
+@pytest.mark.parametrize(
+    "mu, sigma, lo, hi",
+    [
+        (math.nan, 1.0, 0.0, 10.0),
+        (0.0, math.nan, 0.0, 10.0),
+        (0.0, math.inf, 0.0, 10.0),
+        (0.0, 1.0, -math.inf, 10.0),
+        (0.0, 1.0, 0.0, math.inf),
+    ],
+)
+def test_non_finite_parameters_are_rejected(mu, sigma, lo, hi):
+    # NaN once slipped through as NaN masses; an infinite edge as NaNs plus a warning
+    with pytest.raises(DiscretizationError, match="must be finite"):
+        discretize_truncnorm(mu, sigma, lo, hi, 4)
+
+
+def scipy_discretize_truncnorm(mu, sigma, lo, hi, bins):
+    """The function as it stood with scipy's normal CDF, kept as an oracle."""
+    if bins < 1:
+        raise DiscretizationError("need at least one bin")
+    if not hi > lo:
+        raise DiscretizationError("truncation window must have hi > lo")
+    if not sigma > 0.0:
+        raise DiscretizationError("sigma must be positive")
+    edges = np.linspace(lo, hi, bins + 1)
+    cdf = norm.cdf((edges - mu) / sigma)
+    window = cdf[-1] - cdf[0]
+    if window < 1e-300:
+        raise DiscretizationError("truncation window carries no mass")
+    return np.diff(cdf) / window
+
+
+def test_erfc_cdf_matches_the_scipy_cdf():
+    # The ranges of test_mass_sums_telescope_to_one.  Both forms round the
+    # CDF differently, so where a window sits far in the upper tail the
+    # cancellation in 1 - Q(z) can part them by a few 1e-12 (3 draws in 1e5,
+    # each as far from a 60-digit mpmath result as scipy is); 1e-12 holds on
+    # every other draw.
+    rng = np.random.default_rng(7)
+    raised = 0
+    for _ in range(500):
+        lo = rng.uniform(-100.0, 100.0)
+        hi = lo + rng.uniform(1.0, 5000.0)
+        mu = rng.uniform(lo - 2000.0, hi + 2000.0)
+        sigma = rng.uniform(1.0, 2000.0)
+        bins = int(rng.integers(1, 40))
+        outcomes = []
+        for fn in (scipy_discretize_truncnorm, discretize_truncnorm):
+            try:
+                outcomes.append(fn(mu, sigma, lo, hi, bins))
+            except DiscretizationError:
+                outcomes.append(None)
+        want, got = outcomes
+        assert (want is None) == (got is None), (mu, sigma, lo, hi, bins)
+        if want is None:
+            raised += 1
+        else:
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    assert 0 < raised < 500  # the draws reach the empty-window gate, not only its inside
 
 
 # -- channels and binning ------------------------------------------------------

@@ -7,12 +7,15 @@ listed in ``__all__`` count as read (re-exports), ``from __future__``
 imports are directives, and package ``__init__`` modules re-export by
 design, so they are skipped.  A ``_private`` function, class or constant
 that no library module reads (tests do not count) is a refactor's leftover.
+The runtime needs numpy only: scipy stays a test oracle, so importing the
+CLI must not load it, and the CLI must run where scipy cannot be imported.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+from helpers import run_python
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "shipintent"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -90,3 +93,23 @@ def test_every_private_top_level_name_is_read_in_the_library():
         )
     unread = {name: where for name, where in defined.items() if name not in read}
     assert not unread, f"defined but read by no library module: {unread}"
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    done = run_python("-c", "import sys, shipintent.cli; print(*sys.modules, sep='\\n')")
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "shipintent.cli" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+def test_selftest_runs_where_scipy_cannot_be_imported():
+    # A None entry in sys.modules makes every `import scipy...` raise ImportError.
+    done = run_python(
+        "-c",
+        "import sys; sys.modules['scipy'] = None; import shipintent.cli; "
+        "sys.exit(shipintent.cli.main(['selftest']))"
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("ok   ") == 7
+    assert "FAIL" not in done.stdout
